@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build check test format-compat lint analyze bench bench-fast bench-json bench-persist bench-cluster bench-cluster-smoke bench-qps bench-qps-smoke bench-flight bench-flight-smoke bench-analyze bench-analyze-smoke bench-repl bench-repl-smoke stats trace examples clean
+.PHONY: all build check test format-compat lint analyze bench bench-fast bench-json bench-persist bench-cluster bench-cluster-smoke bench-qps bench-qps-smoke bench-flight bench-flight-smoke bench-analyze bench-analyze-smoke bench-repl bench-repl-smoke bench-pairs stats trace examples clean
 
 # Output path for the machine-readable experiment record; override with
 # `make bench-json BENCH_JSON=BENCH_1.json` to regenerate earlier runs.
@@ -128,6 +128,17 @@ bench-repl:
 
 bench-repl-smoke:
 	dune exec bench/main.exe -- --fast E20
+
+# Paired runs of the benchmark in benchmark/: BASE (a git revision)
+# against this working tree on one workload, PAIRS fresh seeds (from
+# SEED when given), alternating which side runs first; prints each
+# end-to-end metric's quartiles on both sides and the change's wins.
+BASE ?= HEAD
+WORKLOAD ?= plan_edit
+PAIRS ?= 10
+SEED ?=
+bench-pairs:
+	bash tools/bench_pairs.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SEED)
 
 # Run $(OBS_SCRIPT) and report counters, latency histograms and the last
 # commit's propagation profile (evaluated-at-most-once check included).

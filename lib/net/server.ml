@@ -295,7 +295,7 @@ let traverse db ~root ~rel ~attr ~depth =
       (fun id ->
         if not (Hashtbl.mem seen id) then begin
           Hashtbl.add seen id ();
-          values := Db.get db id attr :: !values;
+          values := Db.get db ~watch:false id attr :: !values;
           next := List.rev_append (Db.related db id rel) !next
         end)
       !frontier;
@@ -310,7 +310,7 @@ let reader_serve t replica ~applied { j_conn; j_env; j_req; j_start_ns } =
     try
       match j_req with
       | Proto.Read { instance; attr; _ } ->
-        Proto.Value { version = applied; value = Db.get replica instance attr }
+        Proto.Value { version = applied; value = Db.get replica ~watch:false instance attr }
       | Proto.Traverse { root; rel; attr; depth; _ } ->
         let visited, total = traverse replica ~root ~rel ~attr ~depth in
         Proto.Traversed { version = applied; visited; total }
@@ -329,35 +329,73 @@ let job_min_version job =
   | Proto.Read { min_version; _ } | Proto.Traverse { min_version; _ } -> min_version
   | _ -> 0
 
-let reader_loop t master_snapshot make_schema =
-  let replica = Snapshot.load_binary (make_schema ()) master_snapshot in
+(* A replica is lazy: reads never watch, so an apply only marks and
+   checks constraints, and a read evaluates just the out-of-date cone it
+   asks for.  It is memory-resident: its pool never evicts, because a
+   replica is an in-memory copy and simulated misses would be pure cost.
+
+   A replica that fails to load or apply stops applying but keeps its
+   domain alive: every job it holds or later receives is answered with a
+   typed E_server error instead of waiting forever for a version it will
+   never reach. *)
+let reader_loop t name master_snapshot make_schema q =
   let applied = ref 0 in
+  let failure ~version e =
+    Counters.incr t.ctrs "server.replica_failures";
+    let message =
+      Printf.sprintf "%s failed at version %d: %s" name version (Printexc.to_string e)
+    in
+    Flight.record_s Flight.Note ~a:version ~b:0 ("replica " ^ message);
+    Error message
+  in
+  let state =
+    ref
+      (try Ok (Snapshot.load_binary ~buffer_capacity:max_int (make_schema ()) master_snapshot)
+       with e -> failure ~version:0 e)
+  in
+  let apply_h = Histogram.cell t.lats "replica.apply" in
+  let serve job =
+    match !state with
+    | Ok replica -> reader_serve t replica ~applied:!applied job
+    | Error message ->
+      send_resp t job.j_conn job.j_env
+        (Proto.Error { code = Proto.E_server; message })
+        ~verb:(Proto.verb_name job.j_req) ~start_ns:job.j_start_ns ~version:!applied
+  in
+  let ready job = Result.is_error !state || job_min_version job <= !applied in
   (* The broadcast happens during commit, strictly before the Committed
      response, so a read naming version v always queues behind Apply v.
      [deferred] is a safety net, not the expected path. *)
   let deferred = ref [] in
-  let flush_deferred q_self =
-    let ready, still = List.partition (fun j -> job_min_version j <= !applied) !deferred in
+  let flush_deferred () =
+    let now, still = List.partition ready !deferred in
     deferred := still;
-    List.iter (fun j -> reader_serve t replica ~applied:!applied j) ready;
-    ignore q_self
+    List.iter serve now
   in
-  let rec loop q =
+  let rec loop () =
     match pop q with
     | Quit -> ()
     | Apply (v, delta) ->
-      Db.replay_delta replica (Codec.decode_delta delta);
-      Engine.propagate (Db.engine replica);
-      applied := v;
-      flush_deferred q;
-      loop q
+      (match !state with
+      | Error _ -> ()
+      | Ok replica -> (
+        let start_ns = Trace.now_ns () in
+        match
+          Db.replay_delta replica (Codec.decode_delta delta);
+          Engine.propagate (Db.engine replica)
+        with
+        | () ->
+          Histogram.observe apply_h (elapsed_s start_ns);
+          applied := v
+        | exception e -> state := failure ~version:v e));
+      flush_deferred ();
+      loop ()
     | Serve job ->
-      if job_min_version job <= !applied then reader_serve t replica ~applied:!applied job
-      else deferred := job :: !deferred;
-      loop q
-    | Feed _ -> loop q  (* writer-queue only *)
+      if ready job then serve job else deferred := job :: !deferred;
+      loop ()
+    | Feed _ -> loop ()  (* writer-queue only *)
   in
-  loop
+  loop ()
 
 (* ---- Front end ---- *)
 
@@ -697,9 +735,9 @@ let start ?(config = config ()) ~make_schema db =
     Array.to_list
       (Array.mapi
          (fun i q ->
+           let name = Printf.sprintf "reader-%d" i in
            Domain.spawn (fun () ->
-               run_domain t (Printf.sprintf "reader-%d" i) (fun () ->
-                   reader_loop t master_snapshot make_schema q)))
+               run_domain t name (fun () -> reader_loop t name master_snapshot make_schema q)))
          t.reader_qs)
   in
   let writer_domain =

@@ -18,7 +18,21 @@
       mailbox, tagged with a monotonically increasing {e version}.
       Readers apply deltas in order; a request's [min_version] names the
       snapshot it is content with (read-your-writes when it names the
-      client's own last commit);
+      client's own last commit).  Each apply is timed into the
+      [replica.apply] latency histogram;
+    - {b lazy, memory-resident replicas}: a served read does not make
+      the attribute important on the replica (the master keeps the
+      paper's rule that a query promotes what it asks), so an apply only
+      marks and checks constraints, and a read evaluates just the
+      out-of-date cone it asks for.  A replica's buffer pool never
+      evicts: it is an in-memory copy, so simulated block misses would
+      be pure overhead;
+    - {b typed replica failure}: a replica that cannot load its snapshot
+      or apply a delta (say, its schema's constraint rejects a commit
+      the master accepted) stops applying, counts
+      [server.replica_failures], and answers every request it holds or
+      later receives with [E_server] naming the reader and the version,
+      instead of leaving read-your-writes clients waiting forever;
     - {b a front-end event loop} (its own domain) accepts TCP
       connections on loopback, decodes frames incrementally, answers
       [Ping]/[Stats] inline, and routes everything else: commits to the
@@ -107,7 +121,8 @@ val inject : t -> string -> int
 (** Server-side request/connection counters (names under [server.]). *)
 val counters : t -> Cactis_util.Counters.t
 
-(** Per-verb service latencies (names under [serve.]). *)
+(** Per-verb service latencies (names under [serve.]) and every
+    reader's delta apply times ([replica.apply]). *)
 val latencies : t -> Cactis_obs.Histogram.t
 
 (** The sampled-span ring (always enabled; ~1-in-[trace_sample]

@@ -210,6 +210,11 @@ let test_malformed_payloads () =
 
 (* ---- End-to-end server ---- *)
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  nn = 0 || go 0
+
 let node_schema () =
   let sch = Schema.create () in
   Schema.add_type sch "node";
@@ -235,12 +240,10 @@ let chain_db () =
   Db.set db c "local" (int 3);
   (db, a, b, c)
 
-let with_server ?(readers = 2) ?(prepare = fun _ -> ()) f =
+let with_server ?(readers = 2) ?(prepare = fun _ -> ()) ?(make_schema = node_schema) f =
   let db, a, b, c = chain_db () in
   prepare db;
-  let server =
-    Server.start ~config:(Server.config ~readers ()) ~make_schema:node_schema db
-  in
+  let server = Server.start ~config:(Server.config ~readers ()) ~make_schema db in
   Fun.protect ~finally:(fun () -> Server.stop server) (fun () -> f server (a, b, c))
 
 let test_server_verbs () =
@@ -334,13 +337,24 @@ let test_typed_errors () =
       | _ -> Alcotest.fail "expected E_protocol")
 
 let test_stats_verb () =
-  with_server (fun server (a, _, _) ->
+  with_server (fun server (a, b, c) ->
       let cl = Client.connect ~port:(Server.port server) () in
       Fun.protect ~finally:(fun () -> Client.close cl) @@ fun () ->
       Client.ping cl;
       ignore (Client.read cl ~instance:a ~attr:"local");
-      ignore (Client.commit cl [ Proto.Set { instance = a; attr = "local"; value = int 2 } ]);
+      let commits = 3 in
+      for i = 1 to commits do
+        ignore (Client.commit cl [ Proto.Set { instance = a; attr = "local"; value = int (i + 1) } ])
+      done;
+      (* A read-your-writes read of every instance reaches every reader,
+         and each answers only after applying every commit. *)
+      List.iter (fun id -> ignore (Client.read cl ~instance:id ~attr:"local")) [ a; b; c ];
       let counters, latencies = Client.stats cl in
+      (match List.find_opt (fun l -> l.Proto.l_name = "replica.apply") latencies with
+      | Some l ->
+        Alcotest.(check int) "one apply per commit per reader" (commits * Server.readers server)
+          l.Proto.l_count
+      | None -> Alcotest.fail "replica.apply latency missing");
       let get name = Option.value ~default:0 (List.assoc_opt name counters) in
       Alcotest.(check bool) "ping counted" true (get "server.req.ping" >= 1);
       Alcotest.(check bool) "read counted" true (get "server.req.read" >= 1);
@@ -409,12 +423,124 @@ let test_concurrent_clients () =
       Alcotest.(check int) "writer client committed every round" rounds writes;
       Alcotest.(check int) "all commits published" rounds (Server.published_version server))
 
-(* ---- Observability endpoints ---- *)
+(* Replicas whose schema carries a constraint the master lacks: a commit
+   the master accepts then fails every replica's apply. *)
+let capped_schema () =
+  let sch = node_schema () in
+  Schema.add_attr sch ~type_name:"node"
+    (Rule.constraint_attr "capped" ~message:"local < 100"
+       (Rule.map1 "local" (fun v -> Value.Bool (Value.as_int v < 100))));
+  sch
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
+(* One request on its own socket, answered within [timeout_s] or failed,
+   so a reply that never comes fails the test instead of hanging it. *)
+let request_within ~timeout_s ~port req =
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout_s;
+  Frame.send fd (Proto.encode_req { Proto.req_id = 1; span_id = 0 } req);
+  match Frame.recv fd with
+  | Some payload -> snd (Proto.decode_resp payload)
+  | None -> Alcotest.fail "connection closed without a reply"
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+    Alcotest.failf "no reply within %.0f s" timeout_s
+
+let test_replica_failure_is_typed () =
+  with_server ~make_schema:capped_schema (fun server (a, _, c) ->
+      let port = Server.port server in
+      let cl = Client.connect ~port () in
+      Fun.protect ~finally:(fun () -> Client.close cl) @@ fun () ->
+      (* Bring the constraint up to date on c's replica: an out-of-date
+         slot is cut off when marked and would never be re-checked. *)
+      let ok, _ = Client.read cl ~instance:c ~attr:"capped" in
+      Alcotest.(check bool) "constraint holds" true (Value.equal ok (Value.Bool true));
+      let version, _ =
+        Client.commit cl [ Proto.Set { instance = c; attr = "local"; value = int 1000 } ]
+      in
+      let expect_server_error what req =
+        match request_within ~timeout_s:5.0 ~port req with
+        | Proto.Error { code = Proto.E_server; message } ->
+          Alcotest.(check bool) (what ^ " names the reader") true (contains message "reader-");
+          Alcotest.(check bool)
+            (what ^ " names the version") true
+            (contains message (Printf.sprintf "version %d" version))
+        | _ -> Alcotest.failf "%s: expected E_server" what
+      in
+      expect_server_error "read-your-writes read"
+        (Proto.Read { min_version = version; instance = c; attr = "local" });
+      expect_server_error "later read"
+        (Proto.Read { min_version = 0; instance = a; attr = "local" });
+      Server.stop server;
+      Alcotest.(check int) "every replica failed" (Server.readers server)
+        (Cactis_util.Counters.get (Server.counters server) "server.replica_failures"))
+
+(* Random commit sequences against a server and a reference Db fed the
+   same updates.  Reads come only every [k]-th step, so a replica's cones
+   stay out of date across several commits and later marks cut off
+   there; every answer must equal a fresh evaluation. *)
+type step = Set_local of int * int | Create_node | Link_nodes of int * int
+
+let step_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, map2 (fun i v -> Set_local (i, v)) small_nat (int_bound 50));
+        (1, return Create_node);
+        (1, map2 (fun i j -> Link_nodes (i, j)) small_nat small_nat);
+      ])
+
+let test_qcheck_lazy_replicas =
+  QCheck.Test.make ~count:25 ~name:"lazy replicas answer like a fresh evaluation"
+    (QCheck.make
+       QCheck.Gen.(pair (int_range 2 5) (list_size (int_range 5 40) (pair step_gen small_nat))))
+    (fun (k, steps) ->
+      let reference, a, b, c = chain_db () in
+      with_server (fun server _ ->
+          let cl = Client.connect ~port:(Server.port server) () in
+          Fun.protect ~finally:(fun () -> Client.close cl) @@ fun () ->
+          let ids = ref [| a; b; c |] in
+          let pick i = !ids.(i mod Array.length !ids) in
+          let check id =
+            let v, _ = Client.read cl ~instance:id ~attr:"total" in
+            let expected = Cactis.Engine.oracle_value (Db.engine reference) id "total" in
+            if not (Value.equal v expected) then
+              QCheck.Test.fail_reportf "total of %d: replica %s, fresh evaluation %s" id
+                (Value.to_string v) (Value.to_string expected)
+          in
+          let apply_ref created = function
+            | Proto.Set { instance; attr; value } -> Db.set reference instance attr value
+            | Proto.Create { type_name } ->
+              created := Db.create_instance reference type_name :: !created
+            | Proto.Link { from_id; rel; to_id } -> Db.link reference ~from_id ~rel ~to_id
+            | Proto.Unlink _ -> assert false
+          in
+          List.iteri
+            (fun i (step, r) ->
+              let updates =
+                match step with
+                | Set_local (x, v) -> [ Proto.Set { instance = pick x; attr = "local"; value = int v } ]
+                | Create_node -> [ Proto.Create { type_name = "node" } ]
+                | Link_nodes (x, y) ->
+                  (* Links run from lower to higher ids, like the chain's,
+                     so the graph stays acyclic. *)
+                  let lo = min (pick x) (pick y) and hi = max (pick x) (pick y) in
+                  if lo = hi || List.mem hi (Db.related reference lo "deps") then []
+                  else [ Proto.Link { from_id = lo; rel = "deps"; to_id = hi } ]
+              in
+              if updates <> [] then begin
+                let created = ref [] in
+                Db.with_txn reference (fun () -> List.iter (apply_ref created) updates);
+                let _, created' = Client.commit cl updates in
+                if created' <> List.rev !created then QCheck.Test.fail_report "created ids diverge";
+                ids := Array.append !ids (Array.of_list created')
+              end;
+              if (i + 1) mod k = 0 then check (pick r))
+            steps;
+          Array.iter check !ids;
+          true))
+
+(* ---- Observability endpoints ---- *)
 
 let with_server_cfg config f =
   let db, a, b, c = chain_db () in
@@ -598,6 +724,8 @@ let () =
           Alcotest.test_case "stats" `Quick test_stats_verb;
           Alcotest.test_case "garbage frame" `Quick test_garbage_frame_gets_protocol_error;
           Alcotest.test_case "concurrent clients" `Quick test_concurrent_clients;
+          Alcotest.test_case "replica failure is typed" `Quick test_replica_failure_is_typed;
+          QCheck_alcotest.to_alcotest test_qcheck_lazy_replicas;
           Alcotest.test_case "wal chain survives restart" `Quick test_wal_chain_survives_restart;
         ] );
       ( "observability",
