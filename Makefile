@@ -145,8 +145,9 @@ bench-pairs:
 stats:
 	dune exec bin/cactis_cli.exe -- stats $(OBS_SCHEMA) $(OBS_SCRIPT)
 
-# Run $(OBS_SCRIPT) with the span tracer on and export $(TRACE_JSON),
-# loadable in Perfetto (https://ui.perfetto.dev) or chrome://tracing.
+# Run $(OBS_SCRIPT) and export the flight recorder's events (spans,
+# transactions, WAL and pager events) as $(TRACE_JSON), loadable in
+# Perfetto (https://ui.perfetto.dev) or chrome://tracing.
 trace:
 	dune exec bin/cactis_cli.exe -- trace $(OBS_SCHEMA) $(OBS_SCRIPT) -o $(TRACE_JSON)
 

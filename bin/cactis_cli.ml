@@ -28,7 +28,6 @@ module Db = Cactis.Db
 module Snapshot = Cactis.Snapshot
 module Persist = Cactis.Persist
 module Counters = Cactis_util.Counters
-module Trace = Cactis_obs.Trace
 module Histogram = Cactis_obs.Histogram
 module Profile = Cactis_obs.Profile
 module Server = Cactis_net.Server
@@ -423,14 +422,19 @@ let trace_cmd schema_path script_path persist out show_output =
   handle_errors (fun () ->
       let _, sch = load_schema schema_path in
       let p, db = open_script_db sch persist in
-      Db.set_tracing db true;
       let output = Script.run db (read_file script_path) in
       if show_output then print_string output;
       (match p with Some p -> Persist.close p | None -> ());
-      let tr = (Db.obs db).Cactis_obs.Ctx.trace in
-      write_file out (Trace.to_chrome_json tr);
+      let d = Flight.snapshot () in
+      write_file out (Flight.to_chrome_json d);
+      let kept, total =
+        List.fold_left
+          (fun (k, n) (s : Flight.section) ->
+            (k + List.length s.Flight.fs_events, n + s.Flight.fs_total))
+          (0, 0) d.Flight.d_sections
+      in
       Printf.printf "%s: %d events (%d dropped) — load in Perfetto or chrome://tracing\n" out
-        (Trace.recorded tr) (Trace.dropped tr))
+        kept (total - kept))
 
 (* ---- serve ---- *)
 
@@ -451,7 +455,7 @@ let parse_hostport s =
       Printf.eprintf "error: bad HOST:PORT %S\n" s;
       exit 1)
 
-let serve_cmd schema_path script_path port readers trace_sample persist metrics_port slow_ms
+let serve_cmd schema_path script_path port readers persist metrics_port slow_ms
     watchdog_interval flight_dir repl_port follow =
   handle_errors (fun () ->
       let src = read_file schema_path in
@@ -507,7 +511,7 @@ let serve_cmd schema_path script_path port readers trace_sample persist metrics_
       let server =
         Server.start
           ~config:
-            (Server.config ~port ~readers ~trace_sample ?metrics_port ~slow_ms ?watchdog
+            (Server.config ~port ~readers ?metrics_port ~slow_ms ?watchdog
                ?flight_dir ~read_only:(follower <> None) ())
           ~make_schema db
       in
@@ -945,11 +949,6 @@ let serve_t =
       value & opt int 2
       & info [ "readers" ] ~docv:"N" ~doc:"Reader domains serving snapshot reads (default 2).")
   in
-  let sample_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "trace-sample" ] ~docv:"N" ~doc:"Record a span for one commit in $(docv) (default 64).")
-  in
   let metrics_port_arg =
     Arg.(
       value
@@ -1005,9 +1004,9 @@ let serve_t =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const serve_cmd $ schema_arg $ script_arg $ port_arg $ readers_arg $ sample_arg
-      $ persist_opt_arg $ metrics_port_arg $ slow_ms_arg $ watchdog_arg $ flight_dir_arg
-      $ repl_port_arg $ follow_arg)
+      const serve_cmd $ schema_arg $ script_arg $ port_arg $ readers_arg $ persist_opt_arg
+      $ metrics_port_arg $ slow_ms_arg $ watchdog_arg $ flight_dir_arg $ repl_port_arg
+      $ follow_arg)
 
 let replicate_cmd schema_path from until_synced check_every lag_every =
   handle_errors (fun () ->
@@ -1111,8 +1110,8 @@ let replicate_t =
 
 let trace_t =
   let doc =
-    "Execute a script with the span tracer enabled and export the events as Chrome trace-event \
-     JSON, loadable in Perfetto or chrome://tracing."
+    "Execute a script and export the flight recorder's events as Chrome trace-event JSON, \
+     loadable in Perfetto or chrome://tracing."
   in
   let out_arg =
     Arg.(

@@ -1,6 +1,6 @@
 module Counters = Cactis_util.Counters
 module Clock = Cactis_obs.Clock
-module Trace = Cactis_obs.Trace
+module Ctx = Cactis_obs.Ctx
 module Histogram = Cactis_obs.Histogram
 module Profile = Cactis_obs.Profile
 module Flight = Cactis_obs.Flight
@@ -102,11 +102,6 @@ let store t = t.st
 let engine t = t.eng
 let counters t = Store.counters t.st
 let obs t = Store.obs t.st
-let tracer t = (Store.obs t.st).Cactis_obs.Ctx.trace
-
-let set_tracing t on =
-  let tr = tracer t in
-  if on then Trace.enable tr else Trace.disable tr
 
 let set_fixed_point ?max_iters t on = Engine.set_fixed_point ?max_iters t.eng on
 let fixed_point t = Engine.fixed_point t.eng
@@ -231,8 +226,6 @@ let begin_txn t =
   if in_txn t then Errors.type_error "transaction already open";
   Counters.incr (counters t) "txns_started";
   Flight.record Flight.Txn_begin ~a:t.next_vid ~b:0;
-  let tr = tracer t in
-  if Trace.enabled tr then Trace.instant tr ~cat:"txn" "begin_txn";
   (* The propagation window opens here: mark waves run as the
      transaction mutates, so the profile must be armed before them, not
      at commit. *)
@@ -245,9 +238,6 @@ let rollback_current t =
   | Some ops ->
     t.current <- None;
     Flight.record Flight.Txn_abort ~a:(List.length ops) ~b:0;
-    let tr = tracer t in
-    if Trace.enabled tr then
-      Trace.instant tr ~cat:"txn" ~args:[ ("ops", Trace.I (List.length ops)) ] "rollback";
     apply_inverse_newest_first t ops;
     Counters.incr (counters t) "txns_aborted";
     (* The restored state satisfied all constraints when it was current;
@@ -290,11 +280,7 @@ let maintenance_step t =
       let moved = Store.recluster_step t.st ~max_moves:a.max_moves in
       if moved > 0 then begin
         Flight.record Flight.Recluster_slice ~a:moved ~b:0;
-        Histogram.observe t.h_recluster_step (Clock.elapsed_s ~since:start_ns);
-        let tr = tracer t in
-        if Trace.enabled tr then
-          Trace.complete tr ~cat:"storage" ~args:[ ("moves", Trace.I moved) ] ~start_ns
-            "recluster_step"
+        Histogram.observe t.h_recluster_step (Clock.elapsed_s ~since:start_ns)
       end
     end
 
@@ -345,12 +331,7 @@ let commit t =
       notify_hook t delta
     end;
     maintenance_step t;
-    Histogram.observe t.h_commit (Clock.elapsed_s ~since:start_ns);
-    let tr = tracer t in
-    if Trace.enabled tr then
-      Trace.complete tr ~cat:"txn"
-        ~args:[ ("ops", Trace.I (List.length ops)) ]
-        ~start_ns "commit"
+    Histogram.observe t.h_commit (Clock.elapsed_s ~since:start_ns)
 
 let with_txn t f =
   begin_txn t;
@@ -630,24 +611,22 @@ let step_forward t (n : vnode) =
 
 let undo_last t =
   if in_txn t then Errors.type_error "cannot undo while a transaction is open";
+  let start_ns = Clock.now_ns () in
   let n = step_back t in
   t.redo_stack <- n :: t.redo_stack;
   Counters.incr (counters t) "undos";
-  let tr = tracer t in
-  if Trace.enabled tr then
-    Trace.instant tr ~cat:"txn" ~args:[ ("version", Trace.I n.vid) ] "undo"
+  Ctx.span "undo" ~start_ns n.vid
 
 let redo t =
   if in_txn t then Errors.type_error "cannot redo while a transaction is open";
   match t.redo_stack with
   | [] -> Errors.type_error "nothing to redo"
   | n :: rest ->
+    let start_ns = Clock.now_ns () in
     step_forward t n;
     t.redo_stack <- rest;
     Counters.incr (counters t) "redos";
-    let tr = tracer t in
-    if Trace.enabled tr then
-      Trace.instant tr ~cat:"txn" ~args:[ ("version", Trace.I n.vid) ] "redo"
+    Ctx.span "redo" ~start_ns n.vid
 
 let tag t name = Hashtbl.replace t.tag_tbl name t.head
 
@@ -692,9 +671,7 @@ let checkout t name =
   in
   List.iter (step_forward t) (path [] target);
   t.redo_stack <- [];
-  let tr = tracer t in
-  if Trace.enabled tr then
-    Trace.complete tr ~cat:"txn" ~args:[ ("tag", Trace.S name) ] ~start_ns "checkout"
+  Ctx.span "checkout" ~start_ns (match target with Some n -> n.vid | None -> 0)
 
 (* ------------------------------------------------------------------ *)
 (* Recovery replay                                                     *)

@@ -39,18 +39,15 @@ val counters : t -> Cactis_util.Counters.t
 
     Latency histograms ([commit], [mark_wave], [eval_wave], [propagate],
     [wal_append], [wal_fsync], …) are always on — a handful of float
-    operations per observation.  The span tracer and the per-commit
-    propagation profile are off by default and cost one branch per
-    observation site until enabled. *)
+    operations per observation.  Timed sites also record
+    {!Cactis_obs.Flight.Span} events into the always-on flight
+    recorder (export with {!Cactis_obs.Flight.to_chrome_json}).  The
+    per-commit propagation profile is off by default and costs one
+    branch per observation site until enabled. *)
 
 (** The observability context shared by the store, engine and (when
     attached) the persistence layer. *)
 val obs : t -> Cactis_obs.Ctx.t
-
-(** [set_tracing t true] starts recording spans and instants into the
-    context's ring buffer (export with {!Cactis_obs.Trace.to_chrome_json});
-    [false] stops recording (already-captured events are kept). *)
-val set_tracing : t -> bool -> unit
 
 (** [set_fixed_point ?max_iters t true] arms the engine's bounded
     fixed-point evaluation of dependency cycles (see

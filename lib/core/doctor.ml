@@ -108,6 +108,7 @@ let describe_event (e : Flight.event) =
   | Schema_delta -> Printf.sprintf "schema_delta %s (v%d)" e.fe_detail e.fe_a
   | Watchdog -> Printf.sprintf "watchdog trip #%d: %s" e.fe_a e.fe_detail
   | Note -> Printf.sprintf "note %s" e.fe_detail
+  | Span -> Printf.sprintf "span %s %dus (%d)" e.fe_detail (e.fe_a / 1000) e.fe_b
 
 let merged_events (dump : Flight.dump) =
   List.concat_map
@@ -204,9 +205,18 @@ let render_json r =
   List.iteri
     (fun i (name, v) ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" name v))
+      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (Flight.json_escape name) v))
     r.r_open_txns;
-  Buffer.add_char buf '}';
+  Buffer.add_string buf "},\"spans\":[";
+  List.iteri
+    (fun i (_, domain, (e : Flight.event)) ->
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_string buf
+        (Printf.sprintf "{\"domain\":\"%s\",\"name\":\"%s\",\"us\":%d,\"count\":%d}"
+           (Flight.json_escape domain) (Flight.json_escape e.Flight.fe_detail) (e.Flight.fe_a / 1000)
+           e.Flight.fe_b))
+    (List.filter (fun (_, _, e) -> e.Flight.fe_kind = Flight.Span) (merged_events r.r_dump));
+  Buffer.add_char buf ']';
   (match r.r_wal with
   | None -> Buffer.add_string buf ",\"wal\":null"
   | Some w ->

@@ -50,5 +50,6 @@ val describe_event : Flight.event -> string
     only the newest [limit] timeline lines (default unlimited). *)
 val render : ?limit:int -> report -> string
 
-(** The verdict as a JSON object (machine-readable [--json] output). *)
+(** The verdict as a JSON object (machine-readable [--json] output),
+    plus every retained span, oldest first, as [spans]. *)
 val render_json : report -> string

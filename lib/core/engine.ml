@@ -3,7 +3,7 @@ module Decaying_avg = Cactis_util.Decaying_avg
 module Symbol = Cactis_util.Symbol
 module Usage = Cactis_storage.Usage
 module Clock = Cactis_obs.Clock
-module Trace = Cactis_obs.Trace
+module Ctx = Cactis_obs.Ctx
 module Histogram = Cactis_obs.Histogram
 module Profile = Cactis_obs.Profile
 
@@ -39,10 +39,9 @@ type t = {
   c_constraint_checks : int ref;
   c_intrinsic_sets : int ref;
   c_misses : int ref;
-  (* Observability: shared tracer + per-phase latency histograms (always
-     on) and an optional propagation profile (installed per commit by
+  (* Observability: per-phase latency histograms (always on) and an
+     optional propagation profile (installed per commit by
      [Db.set_profiling]). *)
-  obs : Cactis_obs.Ctx.t;
   h_mark_wave : Histogram.h;
   h_eval_wave : Histogram.h;
   h_propagate : Histogram.h;
@@ -57,10 +56,8 @@ type t = {
 
 let create ?(strategy = Cactis) ?(sched = Sched.Greedy) store =
   let counters = Store.counters store in
-  let obs = Store.obs store in
-  let hists = obs.Cactis_obs.Ctx.hists in
+  let hists = (Store.obs store).Cactis_obs.Ctx.hists in
   {
-    obs;
     h_mark_wave = Histogram.cell hists "mark_wave";
     h_eval_wave = Histogram.cell hists "eval_wave";
     h_propagate = Histogram.cell hists "propagate";
@@ -103,7 +100,6 @@ let set_fixed_point ?(max_iters = 1000) t on =
   t.fixpoint <- (if on then Some max_iters else None)
 
 let fixed_point t = t.fixpoint
-let trace t = t.obs.Cactis_obs.Ctx.trace
 
 let schema t = Store.schema t.store
 let counters t = Store.counters t.store
@@ -312,7 +308,7 @@ let mark_cost t j = if Store.resident t.store j then 0.0 else 1.0
 let run_marks t targets =
   if targets <> [] then begin
     let start_ns = Clock.now_ns () in
-    let visits0 = !(t.c_mark_visits) and cutoffs0 = !(t.c_mark_cutoffs) in
+    let visits0 = !(t.c_mark_visits) in
     let sched = Sched.create t.sched t.store in
     let usage = Store.usage t.store in
     let schedule tgt =
@@ -351,17 +347,7 @@ let run_marks t targets =
         loop ()
     in
     loop ();
-    Histogram.observe t.h_mark_wave (Clock.elapsed_s ~since:start_ns);
-    let tr = trace t in
-    if Trace.enabled tr then
-      Trace.complete tr ~cat:"engine"
-        ~args:
-          [
-            ("targets", Trace.I (List.length targets));
-            ("visits", Trace.I (!(t.c_mark_visits) - visits0));
-            ("cutoffs", Trace.I (!(t.c_mark_cutoffs) - cutoffs0));
-          ]
-        ~start_ns "mark_wave"
+    Ctx.span ~h:t.h_mark_wave "mark_wave" ~start_ns (!(t.c_mark_visits) - visits0)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -633,16 +619,7 @@ let solve_fixpoint t ~max_iters frames waiters =
             Hashtbl.remove t.pending_important e.e_key;
             record_constraint_check t e.e_inst e.e_si s.Instance.value)
           entries;
-        let tr = t.obs.Cactis_obs.Ctx.trace in
-        if Trace.enabled tr then
-          Trace.complete tr ~cat:"engine"
-            ~args:
-              [
-                ("frames", Trace.I (List.length entries));
-                ("cyclic", Trace.I n_cyclic);
-                ("sweeps", Trace.I !sweeps);
-              ]
-            ~start_ns "fixpoint"
+        Ctx.span "fixpoint" ~start_ns !sweeps
       end;
       converged
     end
@@ -859,31 +836,14 @@ let run_eval_inner t roots =
     end
   end
 
-(* Timed wrapper around one demand-evaluation wave.  The histogram is
-   always fed; the (richer) trace span only when the tracer is on.  The
-   observation happens even when a rule raises, so failed waves still
-   show up in the latency profile. *)
+(* One timed demand-evaluation wave.  The span is recorded even when a
+   rule raises, so failed waves still show up in the latency profile. *)
 let run_eval t roots =
   if roots <> [] then begin
-    let start_ns = Clock.now_ns () in
     let evals0 = !(t.c_rule_evals) in
-    let observe () =
-      Histogram.observe t.h_eval_wave (Clock.elapsed_s ~since:start_ns);
-      let tr = t.obs.Cactis_obs.Ctx.trace in
-      if Trace.enabled tr then
-        Trace.complete tr ~cat:"engine"
-          ~args:
-            [
-              ("roots", Trace.I (List.length roots));
-              ("evals", Trace.I (!(t.c_rule_evals) - evals0));
-            ]
-          ~start_ns "eval_wave"
-    in
-    match run_eval_inner t roots with
-    | () -> observe ()
-    | exception e ->
-      observe ();
-      raise e
+    Ctx.time ~h:t.h_eval_wave "eval_wave"
+      ~count:(fun () -> !(t.c_rule_evals) - evals0)
+      (fun () -> run_eval_inner t roots)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -928,15 +888,11 @@ let rec handle_violations t =
               match (Hashtbl.find_opt t.recoveries name, t.repair) with
               | Some action, Some apply ->
                 t.in_recovery <- true;
-                let tr = t.obs.Cactis_obs.Ctx.trace in
                 let start_ns = Clock.now_ns () in
                 Fun.protect
                   ~finally:(fun () ->
                     t.in_recovery <- false;
-                    if Trace.enabled tr then
-                      Trace.complete tr ~cat:"engine"
-                        ~args:[ ("instance", Trace.I id); ("action", Trace.S name) ]
-                        ~start_ns "recovery")
+                    Ctx.span "recovery" ~start_ns id)
                   (fun () ->
                     Counters.incr (counters t) "recoveries_run";
                     List.iter (fun (j, b, v) -> apply j b v) (action t.store id);
@@ -1204,25 +1160,12 @@ let propagate t =
   | Cactis ->
     let roots = pending_roots t in
     Hashtbl.reset t.pending_important;
-    if roots <> [] then begin
-      let start_ns = Clock.now_ns () in
-      let observe () =
-        Histogram.observe t.h_propagate (Clock.elapsed_s ~since:start_ns);
-        let tr = t.obs.Cactis_obs.Ctx.trace in
-        if Trace.enabled tr then
-          Trace.complete tr ~cat:"engine"
-            ~args:[ ("roots", Trace.I (List.length roots)) ]
-            ~start_ns "propagate"
-      in
-      (match
-         run_eval t (List.map (fun (id, _, ix) -> (id, ix)) roots);
-         handle_violations t
-       with
-      | () -> observe ()
-      | exception e ->
-        observe ();
-        raise e)
-    end
+    if roots <> [] then
+      Ctx.time ~h:t.h_propagate "propagate"
+        ~count:(fun () -> List.length roots)
+        (fun () ->
+          run_eval t (List.map (fun (id, _, ix) -> (id, ix)) roots);
+          handle_violations t)
   | Eager_triggers | Recompute_all ->
     let roots = pending_roots t in
     Hashtbl.reset t.pending_important;

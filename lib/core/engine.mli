@@ -124,7 +124,10 @@ val set_fixed_point : ?max_iters:int -> t -> bool -> unit
 (** Currently configured sweep cap; [None] when the mode is off. *)
 val fixed_point : t -> int option
 
-(** {1 Observability} *)
+(** {1 Observability}
+
+    Mark waves, evaluation waves, propagation, recovery actions and
+    fixed-point solves record {!Cactis_obs.Flight.Span} events. *)
 
 (** [set_profile t (Some p)] arms per-commit propagation profiling: the
     mark and evaluation phases report nodes marked, edges walked,
@@ -134,11 +137,6 @@ val fixed_point : t -> int option
 val set_profile : t -> Cactis_obs.Profile.t option -> unit
 
 val profile : t -> Cactis_obs.Profile.t option
-
-(** The span tracer shared with the store's {!Cactis_obs.Ctx}.  Mark
-    waves, evaluation waves, propagation and recovery actions emit
-    spans here when it is enabled. *)
-val trace : t -> Cactis_obs.Trace.t
 
 (** {1 Testing support} *)
 

@@ -1,7 +1,7 @@
 module Wal = Cactis_storage.Wal
 module Counters = Cactis_util.Counters
 module Clock = Cactis_obs.Clock
-module Trace = Cactis_obs.Trace
+module Ctx = Cactis_obs.Ctx
 module Histogram = Cactis_obs.Histogram
 
 type t = {
@@ -114,15 +114,7 @@ let checkpoint t =
   Cactis_obs.Flight.record Cactis_obs.Flight.Checkpoint ~a:generation
     ~b:(Db.schema_step_count t.db);
   Counters.incr (Db.counters t.db) "checkpoints";
-  let obs = Db.obs t.db in
-  Histogram.observe_named obs.Cactis_obs.Ctx.hists "checkpoint"
-    (Clock.elapsed_s ~since:start_ns);
-  let tr = obs.Cactis_obs.Ctx.trace in
-  if Trace.enabled tr then
-    Trace.complete tr ~cat:"persist"
-      ~args:
-        [ ("generation", Trace.I generation); ("snapshot_bytes", Trace.I (String.length data)) ]
-      ~start_ns "checkpoint"
+  Histogram.observe_named (Db.obs t.db).Ctx.hists "checkpoint" (Clock.elapsed_s ~since:start_ns)
 
 let install_hook t =
   Db.set_commit_hook t.db
@@ -218,13 +210,8 @@ let recover ?strategy ?sched ?block_capacity ?buffer_capacity ?(sync_every = 1)
   List.iter (fun record -> Db.replay_delta db (Codec.decode_delta record)) records;
   Engine.propagate (Db.engine db);
   let obs = Db.obs db in
-  Histogram.observe_named obs.Cactis_obs.Ctx.hists "recovery_replay"
-    (Clock.elapsed_s ~since:replay_start_ns);
-  let tr = obs.Cactis_obs.Ctx.trace in
-  if Trace.enabled tr then
-    Trace.complete tr ~cat:"persist"
-      ~args:[ ("records", Trace.I (List.length records)); ("torn", Trace.B torn) ]
-      ~start_ns:replay_start_ns "recovery_replay";
+  Ctx.span ~h:(Histogram.cell obs.Ctx.hists "recovery_replay") "recovery_replay"
+    ~start_ns:replay_start_ns (List.length records);
   let wal =
     Wal.open_writer ~sync_every ~generation:snap_gen ~schema_version:snap_sv
       ~truncate_at:valid_end ~obs (wal_file dir)

@@ -27,7 +27,6 @@ val usage : t -> Cactis_storage.Usage.t
 val counters : t -> Cactis_util.Counters.t
 
 (** Observability context shared by every layer attached to this store:
-    the span tracer (disabled until enabled via [Db.set_tracing]) and
     the always-on latency histogram registry. *)
 val obs : t -> Cactis_obs.Ctx.t
 

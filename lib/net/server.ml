@@ -7,7 +7,7 @@ module Engine = Cactis.Engine
 module Store = Cactis.Store
 module Counters = Cactis_util.Counters
 module Histogram = Cactis_obs.Histogram
-module Trace = Cactis_obs.Trace
+module Clock = Cactis_obs.Clock
 module Flight = Cactis_obs.Flight
 module Metrics = Cactis_obs.Metrics
 module Slowlog = Cactis_obs.Slowlog
@@ -19,7 +19,6 @@ module Partition = Cactis_dist.Partition
 type config = {
   cfg_port : int;
   cfg_readers : int;
-  cfg_trace_sample : int;
   cfg_backlog : int;
   cfg_metrics_port : int option;  (* plain-HTTP GET /metrics listener (0 = ephemeral) *)
   cfg_slow_ms : float;  (* slow-op deadline; <= 0 disables the slowlog *)
@@ -29,13 +28,12 @@ type config = {
   cfg_read_only : bool;  (* replica mode: refuse client commits *)
 }
 
-let config ?(port = 0) ?(readers = 1) ?(trace_sample = 64) ?(backlog = 64) ?metrics_port
+let config ?(port = 0) ?(readers = 1) ?(backlog = 64) ?metrics_port
     ?(slow_ms = 100.0) ?slowlog_sink ?watchdog ?flight_dir ?(read_only = false) () =
   if readers < 1 then invalid_arg "Server.config: readers must be >= 1";
   {
     cfg_port = port;
     cfg_readers = readers;
-    cfg_trace_sample = trace_sample;
     cfg_backlog = backlog;
     cfg_metrics_port = metrics_port;
     cfg_slow_ms = slow_ms;
@@ -115,7 +113,6 @@ type t = {
   partition : Partition.t;
   ctrs : Counters.t;
   lats : Histogram.t;
-  tracer : Trace.t;
   db_counters : Counters.t;
   db_hists : Histogram.t;
   slowlog : Slowlog.t option;
@@ -131,11 +128,8 @@ let readers t = Array.length t.reader_qs
 let published_version t = Atomic.get t.published
 let counters t = t.ctrs
 let latencies t = t.lats
-let trace t = t.tracer
 let slowlog t = t.slowlog
 let watchdog t = t.watchdog
-
-let elapsed_s start_ns = Int64.to_float (Int64.sub (Trace.now_ns ()) start_ns) *. 1e-9
 
 let domain_label t =
   let did = (Domain.self () :> int) in
@@ -152,7 +146,7 @@ let send_resp ?(version = 0) ?(pager = (0, 0)) t conn env resp ~verb ~start_ns =
   let payload = Proto.encode_resp env resp in
   (* Record the latency before the bytes leave: once a client holds the
      response, a Stats request is guaranteed to see this observation. *)
-  let dur = elapsed_s start_ns in
+  let dur = Clock.elapsed_s ~since:start_ns in
   Histogram.observe (Histogram.cell t.lats ("serve." ^ verb)) dur;
   Flight.record_s Flight.Net_verb ~a:(int_of_float (dur *. 1e6)) ~b:env.Proto.req_id verb;
   (match t.slowlog with
@@ -204,15 +198,7 @@ let writer_serve t db { j_conn; j_env; j_req; j_start_ns } =
       try
         let created = ref [] in
         Db.with_txn db (fun () -> List.iter (apply_update db created) updates);
-        let version = Atomic.get t.published in
-        (* Sampled tracing: one commit in [trace_sample] records a span
-           carrying the client's span id, so traces stitch across the
-           wire. *)
-        if t.cfg.cfg_trace_sample > 0 && version mod t.cfg.cfg_trace_sample = 0 then
-          Trace.complete t.tracer ~cat:"server"
-            ~args:[ ("span_id", Trace.I j_env.Proto.span_id); ("version", Trace.I version) ]
-            ~start_ns:j_start_ns "commit";
-        Proto.Committed { version; created = List.rev !created }
+        Proto.Committed { version = Atomic.get t.published; created = List.rev !created }
       with e -> Proto.error_of_exn e
     in
     let h1, m1 = pool_stats db in
@@ -379,13 +365,13 @@ let reader_loop t name master_snapshot make_schema q =
       (match !state with
       | Error _ -> ()
       | Ok replica -> (
-        let start_ns = Trace.now_ns () in
+        let start_ns = Clock.now_ns () in
         match
           Db.replay_delta replica (Codec.decode_delta delta);
           Engine.propagate (Db.engine replica)
         with
         | () ->
-          Histogram.observe apply_h (elapsed_s start_ns);
+          Histogram.observe apply_h (Clock.elapsed_s ~since:start_ns);
           applied := v
         | exception e -> state := failure ~version:v e));
       flush_deferred ();
@@ -452,7 +438,7 @@ let metrics_body t =
 let route t id = Partition.site_of_range t.partition id
 
 let dispatch t conn payload =
-  let start_ns = Trace.now_ns () in
+  let start_ns = Clock.now_ns () in
   match Proto.decode_req payload with
   | exception Proto.Malformed m ->
     send_resp t conn { Proto.req_id = 0; span_id = 0 }
@@ -557,7 +543,7 @@ let frontend_loop t =
                code = Proto.E_protocol;
                message = Printf.sprintf "frame length %d exceeds %d" len Frame.max_payload;
              })
-          ~verb:"protocol" ~start_ns:(Trace.now_ns ());
+          ~verb:"protocol" ~start_ns:(Clock.now_ns ());
         close_conn conns conn)
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
     | exception _ -> close_conn conns conn
@@ -626,7 +612,6 @@ let run_domain t name f =
   t.domain_names <- ((Domain.self () :> int), name) :: t.domain_names;
   Mutex.unlock t.names_mu;
   Flight.name_domain name;
-  Trace.name_thread t.tracer name;
   try f ()
   with e ->
     let bt = Printexc.get_raw_backtrace () in
@@ -666,8 +651,6 @@ let start ?(config = config ()) ~make_schema db =
       in
       (Some fd, Some bp)
   in
-  let tracer = Trace.create () in
-  Trace.enable tracer;
   let slowlog =
     if config.cfg_slow_ms <= 0.0 then None
     else
@@ -703,7 +686,6 @@ let start ?(config = config ()) ~make_schema db =
       partition = Partition.by_range ~ids:(Db.instance_ids db) ~sites:config.cfg_readers;
       ctrs = Counters.create ();
       lats = Histogram.create ();
-      tracer;
       db_counters = Db.counters db;
       db_hists = (Db.obs db).Cactis_obs.Ctx.hists;
       slowlog;

@@ -41,12 +41,13 @@
       replica is complete, the range only decides who serves whom).
 
     Observability is always on: per-verb request counters and latency
-    histograms (domain-safe registries, merged on read), sampled
-    tracing — one commit in [trace_sample] records a span carrying the
-    client's span id from the request envelope, so client and server
-    traces stitch — and the {!Cactis_obs.Flight} recorder (net accepts,
-    verbs, typed errors; every server domain runs under a wrapper that
-    dumps the recorder on an uncaught exception).
+    histograms (domain-safe registries, merged on read) and the
+    {!Cactis_obs.Flight} recorder (net accepts, typed errors, and every
+    served verb as a [Net_verb] event carrying its service time and
+    request id; each server domain names its track and runs under a
+    wrapper that dumps the recorder on an uncaught exception).  The
+    client's span id from the request envelope rides into the slow-op
+    log.
 
     Production forensics are opt-in per config knob: a plain-HTTP
     [GET /metrics] OpenMetrics endpoint ([metrics_port]), a slow-op
@@ -58,9 +59,8 @@
 type config
 
 (** [config ()] — loopback TCP on an ephemeral port ([port = 0]), one
-    reader, every 64th commit traced; no metrics endpoint, slow-op
-    deadline 100 ms logged to stderr, no watchdog, no flight-dump
-    directory.
+    reader; no metrics endpoint, slow-op deadline 100 ms logged to
+    stderr, no watchdog, no flight-dump directory.
 
     [metrics_port]: also listen on loopback at this port ([0] =
     ephemeral; see {!metrics_port}) and answer [GET /metrics] with the
@@ -75,7 +75,6 @@ type config
 val config :
   ?port:int ->
   ?readers:int ->
-  ?trace_sample:int ->
   ?backlog:int ->
   ?metrics_port:int ->
   ?slow_ms:float ->
@@ -124,10 +123,6 @@ val counters : t -> Cactis_util.Counters.t
 (** Per-verb service latencies (names under [serve.]) and every
     reader's delta apply times ([replica.apply]). *)
 val latencies : t -> Cactis_obs.Histogram.t
-
-(** The sampled-span ring (always enabled; ~1-in-[trace_sample]
-    commits). *)
-val trace : t -> Cactis_obs.Trace.t
 
 (** The slow-op log, when enabled ([slow_ms > 0]). *)
 val slowlog : t -> Cactis_obs.Slowlog.t option

@@ -1,21 +1,20 @@
-type t = {
-  trace : Trace.t;
-  hists : Histogram.t;
-}
+type t = { hists : Histogram.t }
 
-let create ?trace_capacity () =
-  { trace = Trace.create ?capacity:trace_capacity (); hists = Histogram.create () }
+let create () = { hists = Histogram.create () }
 
-let time t h ?cat name f =
+let span ?h name ~start_ns count =
+  let end_ns = Clock.now_ns () in
+  (match h with
+  | Some h -> Histogram.observe h (Int64.to_float (Int64.sub end_ns start_ns) *. 1e-9)
+  | None -> ());
+  Flight.span name ~start_ns ~end_ns count
+
+let time ?h name ~count f =
   let start_ns = Clock.now_ns () in
-  let finish () =
-    Histogram.observe h (Clock.elapsed_s ~since:start_ns);
-    Trace.complete t.trace ?cat ~start_ns name
-  in
   match f () with
   | v ->
-    finish ();
+    span ?h name ~start_ns (count ());
     v
   | exception e ->
-    finish ();
+    span ?h name ~start_ns (count ());
     raise e

@@ -23,6 +23,7 @@ type kind =
   | Schema_delta
   | Watchdog
   | Note
+  | Span
 
 let kind_tag = function
   | Txn_begin -> 0
@@ -40,6 +41,7 @@ let kind_tag = function
   | Schema_delta -> 12
   | Watchdog -> 13
   | Note -> 14
+  | Span -> 15
 
 let kind_of_tag = function
   | 0 -> Some Txn_begin
@@ -57,6 +59,7 @@ let kind_of_tag = function
   | 12 -> Some Schema_delta
   | 13 -> Some Watchdog
   | 14 -> Some Note
+  | 15 -> Some Span
   | _ -> None
 
 let kind_name = function
@@ -75,6 +78,7 @@ let kind_name = function
   | Schema_delta -> "schema_delta"
   | Watchdog -> "watchdog"
   | Note -> "note"
+  | Span -> "span"
 
 type event = {
   fe_ts_ns : int64;
@@ -115,19 +119,20 @@ let key =
       Mutex.unlock mu;
       r)
 
-let record_s k ~a ~b detail =
-  if Atomic.get on then begin
-    let detail = if String.length detail > 255 then String.sub detail 0 255 else detail in
-    let r = Domain.DLS.get key in
-    let w = Atomic.get r.written in
-    r.slots.(w land mask) <-
-      { fe_ts_ns = Clock.now_ns (); fe_kind = k; fe_a = a; fe_b = b; fe_detail = detail };
-    (* The atomic bump publishes the slot store to snapshotting domains. *)
-    Atomic.set r.written (w + 1)
-  end
+let store ts k ~a ~b detail =
+  let detail = if String.length detail > 255 then String.sub detail 0 255 else detail in
+  let r = Domain.DLS.get key in
+  let w = Atomic.get r.written in
+  r.slots.(w land mask) <- { fe_ts_ns = ts; fe_kind = k; fe_a = a; fe_b = b; fe_detail = detail };
+  (* The atomic bump publishes the slot store to snapshotting domains. *)
+  Atomic.set r.written (w + 1)
 
+let record_s k ~a ~b detail = if Atomic.get on then store (Clock.now_ns ()) k ~a ~b detail
 let record k ~a ~b = record_s k ~a ~b ""
 let note detail = record_s Note ~a:0 ~b:0 detail
+
+let span name ~start_ns ~end_ns count =
+  if Atomic.get on then store end_ns Span ~a:(Int64.to_int (Int64.sub end_ns start_ns)) ~b:count name
 
 let name_domain name =
   let r = Domain.DLS.get key in
@@ -347,3 +352,88 @@ let dump_to_file ~dir ~reason =
   output_string oc (encode d);
   close_out oc;
   path
+
+(* ------------------------------------------------------------------ *)
+(* Chrome trace-event JSON                                             *)
+
+let json_escape s =
+  let buf = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+(* Span and Net_verb events are stamped when they end; their start is
+   the stamp minus the recorded duration. *)
+let start_ns e =
+  match e.fe_kind with
+  | Span -> Int64.sub e.fe_ts_ns (Int64.of_int e.fe_a)
+  | Net_verb -> Int64.sub e.fe_ts_ns (Int64.of_int (e.fe_a * 1000))
+  | _ -> e.fe_ts_ns
+
+let to_chrome_json d =
+  let t0 =
+    List.fold_left
+      (fun m s -> List.fold_left (fun m e -> min m (start_ns e)) m s.fs_events)
+      Int64.max_int d.d_sections
+  in
+  let us ns = Int64.to_float (Int64.sub ns t0) *. 1e-3 in
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf
+    "{\"traceEvents\":[\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"cactis\"}}";
+  List.iter
+    (fun s ->
+      Printf.bprintf buf
+        ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
+        s.fs_domain (json_escape s.fs_name);
+      (* With [stop] a complete ("X") event, without it an instant. *)
+      let emit name cat ~start ?stop args =
+        Printf.bprintf buf ",\n{\"name\":\"%s\",\"cat\":\"%s\"" (json_escape name) cat;
+        (match stop with
+        | Some stop ->
+          Printf.bprintf buf ",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f" (us start)
+            (Int64.to_float (Int64.sub stop start) *. 1e-3)
+        | None -> Printf.bprintf buf ",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f" (us start));
+        Printf.bprintf buf ",\"pid\":1,\"tid\":%d,\"args\":{%s}}" s.fs_domain args
+      in
+      let instant e =
+        emit (kind_name e.fe_kind) "flight" ~start:e.fe_ts_ns
+          (Printf.sprintf "\"a\":%d,\"b\":%d,\"detail\":\"%s\"" e.fe_a e.fe_b (json_escape e.fe_detail))
+      in
+      (* A domain runs one transaction at a time: each Txn_begin opens the
+         span its next Txn_commit or Txn_abort closes. *)
+      let unclosed =
+        List.fold_left
+          (fun open_txn e ->
+            match (e.fe_kind, open_txn) with
+            | Txn_begin, _ ->
+              Option.iter instant open_txn;
+              Some e
+            | (Txn_commit | Txn_abort), Some b ->
+              let ops = if e.fe_kind = Txn_commit then e.fe_b else e.fe_a in
+              emit "txn" "txn" ~start:b.fe_ts_ns ~stop:e.fe_ts_ns
+                (Printf.sprintf "\"v\":%d,\"end\":\"%s\",\"ops\":%d" b.fe_a (kind_name e.fe_kind) ops);
+              None
+            | Span, _ ->
+              emit e.fe_detail "span" ~start:(start_ns e) ~stop:e.fe_ts_ns
+                (Printf.sprintf "\"count\":%d" e.fe_b);
+              open_txn
+            | Net_verb, _ ->
+              emit e.fe_detail "net" ~start:(start_ns e) ~stop:e.fe_ts_ns
+                (Printf.sprintf "\"req\":%d" e.fe_b);
+              open_txn
+            | _ ->
+              instant e;
+              open_txn)
+          None s.fs_events
+      in
+      Option.iter instant unclosed)
+    d.d_sections;
+  Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"}\n";
+  Buffer.contents buf

@@ -2,7 +2,7 @@
 
     A process-global, per-domain ring of compact structured events —
     the black box that explains a crash or a latency spike after the
-    fact.  Unlike the {!Trace} tracer (opt-in, rich args), the flight
+    fact, and the one event stream behind every trace export.  The
     recorder is {e never off}: every instrumented point pays one
     flag-load-and-branch plus a record allocation and a ring-slot
     store, cheap enough to leave in every hot path (E18 measures the
@@ -43,6 +43,9 @@ type kind =
   | Schema_delta  (** [a] = version stamp; [detail] = change name *)
   | Watchdog  (** [detail] = anomaly reason *)
   | Note  (** free-form marker ([detail]) *)
+  | Span
+      (** a timed site, recorded when it ends: [a] = duration ns, [b] =
+          the site's main count; [detail] = site name *)
 
 val kind_name : kind -> string
 
@@ -68,6 +71,11 @@ val record_s : kind -> a:int -> b:int -> string -> unit
 
 (** [note msg] — a free-form {!Note} marker. *)
 val note : string -> unit
+
+(** [span name ~start_ns ~end_ns count] records a {!Span} stamped
+    [end_ns] (both {!Clock.now_ns} readings); [name] should be a shared
+    constant. *)
+val span : string -> start_ns:int64 -> end_ns:int64 -> int -> unit
 
 (** [name_domain name] labels the calling domain's section in dumps
     ("writer", "reader-0", …).  Default label is ["domain-N"]. *)
@@ -114,3 +122,17 @@ val dump_to_file : dir:string -> reason:string -> string
 (** Forget all recorded events and domain labels (test isolation;
     call while no other domain is recording). *)
 val reset : unit -> unit
+
+(** JSON string-body escaping (quotes, backslashes, control bytes). *)
+val json_escape : string -> string
+
+(** Chrome trace-event JSON of a dump (a live {!snapshot} or a decoded
+    post-mortem), loadable in Perfetto or chrome://tracing.  Each
+    section is one named track.  {!Span} and {!Net_verb} events become
+    complete (["X"]) events; each [Txn_begin] is paired with the same
+    domain's next [Txn_commit] or [Txn_abort] into one ["txn"] span, so
+    waves and WAL events nest inside their transaction; every other
+    event (and an unpaired txn event) is an instant (["i"]) carrying
+    [a], [b] and [detail] as args.  Timestamps are µs from the earliest
+    start in the dump. *)
+val to_chrome_json : dump -> string

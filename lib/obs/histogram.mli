@@ -3,9 +3,9 @@
     Each histogram spreads observed durations over power-of-two
     microsecond buckets (bucket [i] covers [[2^(i-1), 2^i)] µs), so an
     observation is two float ops and an array increment — cheap enough
-    to leave on permanently, unlike the tracer.  Quantiles are
-    reconstructed from the buckets (geometric midpoint), exact to within
-    one bucket (~2x); [max] is exact.
+    to leave on permanently.  Quantiles are reconstructed from the
+    buckets (geometric midpoint), exact to within one bucket (~2x);
+    [max] is exact.
 
     A [t] is a registry of named histograms, mirroring
     {!Cactis_util.Counters}: hot paths cache the [h] cell once and skip

@@ -167,24 +167,22 @@ type writer = {
   mutable appends : int;
   mutable since_reset : int;  (* appends since open or the last reset *)
   mutable appended_bytes : int;  (* frame bytes written through this writer *)
-  obs : Cactis_obs.Ctx.t;
   h_append : Cactis_obs.Histogram.h;
   h_fsync : Cactis_obs.Histogram.h;
 }
 
 let fsync w =
   Cactis_obs.Flight.record Cactis_obs.Flight.Wal_fsync ~a:w.pending ~b:w.appends;
-  Cactis_obs.Ctx.time w.obs w.h_fsync ~cat:"wal" "wal_fsync" (fun () ->
-      flush w.oc;
-      Unix.fsync w.fd)
+  let start_ns = Cactis_obs.Clock.now_ns () in
+  flush w.oc;
+  Unix.fsync w.fd;
+  Cactis_obs.Histogram.observe w.h_fsync (Cactis_obs.Clock.elapsed_s ~since:start_ns)
 
 let open_writer ?(sync_every = 1) ?(generation = 0) ?(schema_version = 0) ?truncate_at ?obs path =
   (* Without a caller-supplied observability context, appends/fsyncs are
      still timed — into a private, never-read registry (negligible cost
      next to the I/O being measured). *)
-  let obs =
-    match obs with Some o -> o | None -> Cactis_obs.Ctx.create ~trace_capacity:1 ()
-  in
+  let obs = match obs with Some o -> o | None -> Cactis_obs.Ctx.create () in
   let fresh = not (Sys.file_exists path) in
   let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
   (match truncate_at with
@@ -203,7 +201,6 @@ let open_writer ?(sync_every = 1) ?(generation = 0) ?(schema_version = 0) ?trunc
       appends = 0;
       since_reset = 0;
       appended_bytes = 0;
-      obs;
       h_append = Cactis_obs.Histogram.cell obs.Cactis_obs.Ctx.hists "wal_append";
       h_fsync = Cactis_obs.Histogram.cell obs.Cactis_obs.Ctx.hists "wal_fsync";
     }
@@ -232,12 +229,7 @@ let append w payload =
     fsync w;
     w.pending <- 0
   end;
-  Cactis_obs.Histogram.observe w.h_append (Cactis_obs.Clock.elapsed_s ~since:start_ns);
-  let trace = w.obs.Cactis_obs.Ctx.trace in
-  if Cactis_obs.Trace.enabled trace then
-    Cactis_obs.Trace.complete trace ~cat:"wal"
-      ~args:[ ("bytes", Cactis_obs.Trace.I (8 + plen)) ]
-      ~start_ns "wal_append"
+  Cactis_obs.Histogram.observe w.h_append (Cactis_obs.Clock.elapsed_s ~since:start_ns)
 
 let sync w =
   fsync w;

@@ -53,7 +53,7 @@ type writer
     stamped into the header when one is freshly written (an existing
     intact header is left untouched — use {!reset} to restamp).  [obs]
     receives per-append and per-fsync latency histograms ([wal_append],
-    [wal_fsync]) and trace spans when its tracer is enabled. *)
+    [wal_fsync]). *)
 val open_writer :
   ?sync_every:int ->
   ?generation:int ->

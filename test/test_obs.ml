@@ -1,8 +1,7 @@
-(* Observability layer tests: tracer ring buffer and Chrome export,
+(* Observability layer tests: Chrome export of flight dumps,
    log-bucketed histograms, the propagation profile's at-most-once
    accounting, and the end-to-end wiring through Db. *)
 
-module Trace = Cactis_obs.Trace
 module Histogram = Cactis_obs.Histogram
 module Profile = Cactis_obs.Profile
 module Ctx = Cactis_obs.Ctx
@@ -32,68 +31,74 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
-(* ---- Trace ---- *)
+(* ---- Chrome trace export ---- *)
 
-let test_trace_disabled_records_nothing () =
-  let t = Trace.create () in
-  Trace.instant t "nothing";
-  Trace.complete t ~start_ns:(Trace.now_ns ()) "nothing";
-  ignore (Trace.span t "nothing" (fun () -> 42));
-  Alcotest.(check int) "no events" 0 (Trace.recorded t);
-  Alcotest.(check (list string)) "empty" [] (List.map (fun e -> e.Trace.ev_name) (Trace.events t))
+let sole_section (d : Flight.dump) =
+  match d.Flight.d_sections with
+  | [ s ] -> s
+  | ss -> Alcotest.failf "expected one section, got %d" (List.length ss)
 
-let test_trace_records_in_order () =
-  let t = Trace.create () in
-  Trace.enable t;
-  Trace.instant t ~cat:"a" "first";
-  ignore (Trace.span t "second" (fun () -> ()));
-  Trace.instant t "third";
-  Alcotest.(check (list string))
-    "oldest first" [ "first"; "second"; "third" ]
-    (List.map (fun e -> e.Trace.ev_name) (Trace.events t));
-  let span = List.nth (Trace.events t) 1 in
-  Alcotest.(check bool) "span is not instant" false span.Trace.ev_instant;
-  Alcotest.(check bool) "timestamps non-negative" true
-    (List.for_all (fun e -> e.Trace.ev_ts >= 0.0) (Trace.events t))
-
-let test_trace_ring_wraps () =
-  let t = Trace.create ~capacity:4 () in
-  Trace.enable t;
-  for i = 1 to 10 do
-    Trace.instant t (string_of_int i)
-  done;
-  Alcotest.(check int) "recorded counts all" 10 (Trace.recorded t);
-  Alcotest.(check int) "dropped = overflow" 6 (Trace.dropped t);
-  Alcotest.(check (list string))
-    "ring keeps the newest, oldest first" [ "7"; "8"; "9"; "10" ]
-    (List.map (fun e -> e.Trace.ev_name) (Trace.events t))
-
-let test_trace_span_records_on_raise () =
-  let t = Trace.create () in
-  Trace.enable t;
-  (try Trace.span t "boom" (fun () -> failwith "x") with Failure _ -> ());
-  Alcotest.(check (list string))
-    "span captured despite raise" [ "boom" ]
-    (List.map (fun e -> e.Trace.ev_name) (Trace.events t))
-
-let test_trace_chrome_json_shape () =
-  let t = Trace.create () in
-  Trace.enable t;
-  Trace.instant t ~cat:"test" ~args:[ ("k", Trace.S "v\"q"); ("n", Trace.I 3) ] "tick";
-  let start_ns = Trace.now_ns () in
-  Trace.complete t ~cat:"test" ~args:[ ("ok", Trace.B true) ] ~start_ns "work";
-  let json = Trace.to_chrome_json t in
-  let has needle =
-    let nl = String.length needle and jl = String.length json in
-    let rec go i = i + nl <= jl && (String.sub json i nl = needle || go (i + 1)) in
-    go 0
+let count_sub hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i acc =
+    if i + nn > nh then acc else go (i + 1) (if String.sub hay i nn = needle then acc + 1 else acc)
   in
+  go 0 0
+
+let test_chrome_json_shape () =
+  let ev ts kind a b detail =
+    { Flight.fe_ts_ns = ts; fe_kind = kind; fe_a = a; fe_b = b; fe_detail = detail }
+  in
+  let dump =
+    {
+      Flight.d_wall_us = 0L;
+      d_mono_ns = 0L;
+      d_sections =
+        [
+          {
+            Flight.fs_domain = 1;
+            fs_name = "writer";
+            fs_total = 6;
+            fs_events =
+              [
+                ev 1_000_000L Flight.Txn_begin 3 0 "";
+                ev 1_500_000L Flight.Span 400_000 7 "mark_wave";
+                ev 1_600_000L Flight.Wal_append 64 1 "";
+                ev 2_000_000L Flight.Txn_commit 3 2 "";
+                ev 2_100_000L Flight.Note 0 0 "q\"uote\\";
+                ev 2_200_000L Flight.Txn_begin 4 0 "";
+              ];
+          };
+          {
+            Flight.fs_domain = 2;
+            fs_name = "frontend";
+            fs_total = 1;
+            fs_events = [ ev 1_800_000L Flight.Net_verb 250 9 "read" ];
+          };
+        ];
+    }
+  in
+  let json = Flight.to_chrome_json dump in
+  let has needle = contains json needle in
   Alcotest.(check bool) "traceEvents wrapper" true (has "\"traceEvents\"");
-  Alcotest.(check bool) "instant phase" true (has "\"ph\":\"i\"");
-  Alcotest.(check bool) "complete phase" true (has "\"ph\":\"X\"");
-  Alcotest.(check bool) "string arg escaped" true (has "\"k\":\"v\\\"q\"");
-  Alcotest.(check bool) "int arg" true (has "\"n\":3");
-  Alcotest.(check bool) "bool arg" true (has "\"ok\":true")
+  Alcotest.(check int) "one thread_name per section" 2 (count_sub json "\"thread_name\"");
+  Alcotest.(check bool) "span is X with dur" true
+    (has "\"name\":\"mark_wave\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":100.000,\"dur\":400.000");
+  Alcotest.(check bool) "span count arg" true (has "\"count\":7");
+  Alcotest.(check bool) "net verb is X with dur" true
+    (has "\"name\":\"read\",\"cat\":\"net\",\"ph\":\"X\",\"ts\":550.000,\"dur\":250.000");
+  Alcotest.(check bool) "net verb req arg" true (has "\"req\":9");
+  Alcotest.(check bool) "begin/commit paired into a txn span" true
+    (has "\"name\":\"txn\",\"cat\":\"txn\",\"ph\":\"X\",\"ts\":0.000,\"dur\":1000.000");
+  Alcotest.(check bool) "txn args" true (has "\"v\":3,\"end\":\"txn_commit\",\"ops\":2");
+  Alcotest.(check bool) "other kinds are instants" true
+    (has "\"name\":\"wal_append\",\"cat\":\"flight\",\"ph\":\"i\"");
+  Alcotest.(check bool) "instant args" true (has "\"a\":64,\"b\":1,\"detail\":\"\"");
+  Alcotest.(check bool) "detail escaped" true (has "\"detail\":\"q\\\"uote\\\\\"");
+  Alcotest.(check int) "only the unclosed begin stays an instant" 1
+    (count_sub json "\"name\":\"txn_begin\"");
+  Alcotest.(check int) "paired commit is not an instant" 0
+    (count_sub json "\"name\":\"txn_commit\"")
 
 (* ---- Histogram ---- *)
 
@@ -132,14 +137,18 @@ let test_histogram_snapshot_and_reset () =
   Alcotest.(check int) "cached cell still live" 1 (Histogram.count h)
 
 let test_ctx_time_observes_on_raise () =
+  Flight.reset ();
   let ctx = Ctx.create () in
   let h = Histogram.cell ctx.Ctx.hists "op" in
-  Trace.enable ctx.Ctx.trace;
-  (try Ctx.time ctx h "op" (fun () -> failwith "x") with Failure _ -> ());
+  (try Ctx.time ~h "op" ~count:(fun () -> 5) (fun () -> failwith "x") with Failure _ -> ());
   Alcotest.(check int) "histogram fed" 1 (Histogram.count h);
-  Alcotest.(check (list string))
-    "span recorded" [ "op" ]
-    (List.map (fun e -> e.Trace.ev_name) (Trace.events ctx.Ctx.trace))
+  match (sole_section (Flight.snapshot ())).Flight.fs_events with
+  | [ e ] ->
+    Alcotest.(check string) "span recorded" "span" (Flight.kind_name e.Flight.fe_kind);
+    Alcotest.(check string) "site name" "op" e.Flight.fe_detail;
+    Alcotest.(check int) "count" 5 e.Flight.fe_b;
+    Alcotest.(check bool) "duration non-negative" true (e.Flight.fe_a >= 0)
+  | evs -> Alcotest.failf "expected one span, got %d events" (List.length evs)
 
 (* ---- Domain safety (per-domain shards, merge-on-read) ---- *)
 
@@ -298,28 +307,27 @@ let test_db_tracing_and_histograms () =
   let db = Db.create (diamond_schema ()) in
   let top, base = diamond db in
   ignore (Db.get db top "total");
-  Db.set_tracing db true;
+  Flight.reset ();
   Db.begin_txn db;
   Db.set db base "local" (int 3);
   Db.commit db;
-  Db.set_tracing db false;
-  let tr = (Db.obs db).Cactis_obs.Ctx.trace in
-  let names = List.map (fun e -> e.Trace.ev_name) (Trace.events tr) in
-  Alcotest.(check bool) "begin_txn instant" true (List.mem "begin_txn" names);
+  let names =
+    List.map
+      (fun (e : Flight.event) ->
+        match e.Flight.fe_kind with
+        | Flight.Span -> e.Flight.fe_detail
+        | k -> Flight.kind_name k)
+      (sole_section (Flight.snapshot ())).Flight.fs_events
+  in
+  Alcotest.(check bool) "txn_begin event" true (List.mem "txn_begin" names);
   Alcotest.(check bool) "mark wave span" true (List.mem "mark_wave" names);
-  Alcotest.(check bool) "commit span" true (List.mem "commit" names);
-  (* Histograms run with tracing off too. *)
+  Alcotest.(check bool) "txn_commit event" true (List.mem "txn_commit" names);
   let hists = Histogram.snapshot (Db.obs db).Cactis_obs.Ctx.hists in
   let hnames = List.map (fun st -> st.Histogram.st_name) hists in
   Alcotest.(check bool) "commit histogram" true (List.mem "commit" hnames);
   Alcotest.(check bool) "mark_wave histogram" true (List.mem "mark_wave" hnames)
 
 (* ---- Flight recorder ---- *)
-
-let sole_section (d : Flight.dump) =
-  match d.Flight.d_sections with
-  | [ s ] -> s
-  | ss -> Alcotest.failf "expected one section, got %d" (List.length ss)
 
 let test_flight_wraparound () =
   Flight.reset ();
@@ -355,7 +363,13 @@ let test_flight_roundtrip () =
   Flight.record_s Flight.Net_verb ~a:1500 ~b:7 "read";
   Flight.record_s Flight.Schema_delta ~a:2 ~b:0 "add_type";
   Flight.note "marker";
+  let now = Clock.now_ns () in
+  Flight.span "eval_wave" ~start_ns:(Int64.sub now 2_000L) ~end_ns:now 4;
   let d = Flight.snapshot () in
+  Alcotest.(check string) "span recorded last" "span"
+    (match List.rev (sole_section d).Flight.fs_events with
+    | e :: _ -> Flight.kind_name e.Flight.fe_kind
+    | [] -> "none");
   match Flight.decode (Flight.encode d) with
   | Error msg -> Alcotest.failf "decode failed: %s" msg
   | Ok d' ->
@@ -375,6 +389,59 @@ let test_flight_roundtrip () =
         Alcotest.(check int) "b survives" e.Flight.fe_b e'.Flight.fe_b;
         Alcotest.(check string) "detail survives" e.Flight.fe_detail e'.Flight.fe_detail)
       s.Flight.fs_events s'.Flight.fs_events
+
+(* A dump written before the Span kind existed, one event of each of
+   the 15 kinds it knew, must decode and re-encode to the same bytes;
+   the golden renders it with one Span added. *)
+let test_flight_cfr1_fixture () =
+  let raw = read_file "fixtures/obs/flight_cfr1.cfr" in
+  let d = match Flight.decode raw with Ok d -> d | Error m -> Alcotest.failf "fixture: %s" m in
+  Alcotest.(check bool) "re-encodes byte-for-byte" true (Flight.encode d = raw);
+  let kinds =
+    List.concat_map
+      (fun (s : Flight.section) ->
+        List.map (fun e -> Flight.kind_name e.Flight.fe_kind) s.Flight.fs_events)
+      d.Flight.d_sections
+  in
+  Alcotest.(check int) "one event of each kind" 15 (List.length (List.sort_uniq compare kinds));
+  let with_span =
+    {
+      d with
+      Flight.d_sections =
+        List.map
+          (fun (s : Flight.section) ->
+            if s.Flight.fs_name <> "writer" then s
+            else
+              {
+                s with
+                Flight.fs_total = s.Flight.fs_total + 1;
+                fs_events =
+                  s.Flight.fs_events
+                  @ [
+                      {
+                        Flight.fe_ts_ns = 1_000_950_000L;
+                        fe_kind = Flight.Span;
+                        fe_a = 850_000;
+                        fe_b = 3;
+                        fe_detail = "eval_wave";
+                      };
+                    ];
+              })
+          d.Flight.d_sections;
+    }
+  in
+  let d' =
+    match Flight.decode (Flight.encode with_span) with
+    | Ok d -> d
+    | Error m -> Alcotest.failf "span dump: %s" m
+  in
+  let report = Doctor.analyze d' in
+  Alcotest.(check string) "golden timeline"
+    (read_file "fixtures/obs/flight_cfr1_golden.txt")
+    (Doctor.render report);
+  Alcotest.(check bool) "span in the JSON verdict" true
+    (contains (Doctor.render_json report)
+       "\"spans\":[{\"domain\":\"writer\",\"name\":\"eval_wave\",\"us\":850,\"count\":3}]")
 
 let test_flight_decode_rejects_garbage () =
   (match Flight.decode "not a dump" with
@@ -798,14 +865,7 @@ let test_doctor_crash_matches_recovery () =
 let () =
   Alcotest.run "cactis-obs"
     [
-      ( "trace",
-        [
-          Alcotest.test_case "disabled records nothing" `Quick test_trace_disabled_records_nothing;
-          Alcotest.test_case "records in order" `Quick test_trace_records_in_order;
-          Alcotest.test_case "ring wraps" `Quick test_trace_ring_wraps;
-          Alcotest.test_case "span on raise" `Quick test_trace_span_records_on_raise;
-          Alcotest.test_case "chrome json shape" `Quick test_trace_chrome_json_shape;
-        ] );
+      ("trace", [ Alcotest.test_case "chrome json shape" `Quick test_chrome_json_shape ]);
       ( "histogram",
         [
           Alcotest.test_case "quantiles" `Quick test_histogram_quantiles;
@@ -832,6 +892,7 @@ let () =
         [
           Alcotest.test_case "ring wraps, newest wins" `Quick test_flight_wraparound;
           Alcotest.test_case "CFR1 round-trip" `Quick test_flight_roundtrip;
+          Alcotest.test_case "CFR1 fixture stays readable" `Quick test_flight_cfr1_fixture;
           Alcotest.test_case "decode rejects garbage" `Quick test_flight_decode_rejects_garbage;
           Alcotest.test_case "snapshot while recording" `Quick test_flight_snapshot_while_recording;
           Alcotest.test_case "recording switch" `Quick test_flight_recording_switch;
