@@ -3,7 +3,7 @@ module Schema = Cactis.Schema
 module Snapshot = Cactis.Snapshot
 module Codec = Cactis.Codec
 module Value = Cactis.Value
-module Engine = Cactis.Engine
+module Replica = Cactis.Replica
 module Store = Cactis.Store
 module Counters = Cactis_util.Counters
 module Histogram = Cactis_obs.Histogram
@@ -19,7 +19,6 @@ module Partition = Cactis_dist.Partition
 type config = {
   cfg_port : int;
   cfg_readers : int;
-  cfg_backlog : int;
   cfg_metrics_port : int option;  (* plain-HTTP GET /metrics listener (0 = ephemeral) *)
   cfg_slow_ms : float;  (* slow-op deadline; <= 0 disables the slowlog *)
   cfg_slowlog_sink : (string -> unit) option;  (* default: one line to stderr *)
@@ -28,13 +27,12 @@ type config = {
   cfg_read_only : bool;  (* replica mode: refuse client commits *)
 }
 
-let config ?(port = 0) ?(readers = 1) ?(backlog = 64) ?metrics_port
-    ?(slow_ms = 100.0) ?slowlog_sink ?watchdog ?flight_dir ?(read_only = false) () =
+let config ?(port = 0) ?(readers = 1) ?metrics_port ?(slow_ms = 100.0) ?slowlog_sink
+    ?watchdog ?flight_dir ?(read_only = false) () =
   if readers < 1 then invalid_arg "Server.config: readers must be >= 1";
   {
     cfg_port = port;
     cfg_readers = readers;
-    cfg_backlog = backlog;
     cfg_metrics_port = metrics_port;
     cfg_slow_ms = slow_ms;
     cfg_slowlog_sink = slowlog_sink;
@@ -42,6 +40,9 @@ let config ?(port = 0) ?(readers = 1) ?(backlog = 64) ?metrics_port
     cfg_flight_dir = flight_dir;
     cfg_read_only = read_only;
   }
+
+(* Pending-connection queue of the listen socket. *)
+let listen_backlog = 64
 
 (* A connection is read only by the front end; responses are written by
    whichever domain served the request, serialized per connection by
@@ -71,16 +72,16 @@ type feed = {
   mutable f_state : (int, exn) result option;
 }
 
-type msg =
-  | Apply of int * string  (* version, encoded delta *)
-  | Serve of job
-  | Feed of feed
-  | Quit
+type writer_msg = W_serve of job | W_feed of feed | W_quit
 
-type queue = {
+(* A reader's mailbox carries the published chain in version order,
+   interleaved with the reads routed to it. *)
+type reader_msg = R_entry of Replica.entry | R_serve of job | R_quit
+
+type 'msg queue = {
   qmu : Mutex.t;
   qcond : Condition.t;
-  qitems : msg Queue.t;
+  qitems : 'msg Queue.t;
 }
 
 let queue () = { qmu = Mutex.create (); qcond = Condition.create (); qitems = Queue.create () }
@@ -108,8 +109,8 @@ type t = {
   bound_metrics_port : int option;
   stop_flag : bool Atomic.t;
   published : int Atomic.t;
-  writer_q : queue;
-  reader_qs : queue array;
+  writer_q : writer_msg queue;
+  reader_qs : reader_msg queue array;
   partition : Partition.t;
   ctrs : Counters.t;
   lats : Histogram.t;
@@ -221,38 +222,42 @@ let writer_serve t db { j_conn; j_env; j_req; j_start_ns } =
          { code = Proto.E_server; message = "writer cannot serve " ^ Proto.verb_name req })
       ~verb:(Proto.verb_name req) ~start_ns:j_start_ns
 
+(* Publish an applied record as version v, the chain entry (0, v-1) ->
+   (0, v), on the writer domain.  Every reader's mailbox gets it before
+   [published] moves, and [dispatch] routes no read whose min_version
+   is above [published]: a routed read naming v, whoever committed v,
+   always queues behind entry v. *)
+let publish t record =
+  let v = Atomic.get t.published + 1 in
+  let at records = { Replica.gen = 0; records } in
+  let entry = { Replica.e_seq = v; e_prev = at (v - 1); e_cursor = at v; e_record = record } in
+  Array.iter (fun q -> push q (R_entry entry)) t.reader_qs;
+  Atomic.set t.published v;
+  v
+
 let writer_loop t db =
-  (* Chain the delta broadcast after whatever durability hook (the WAL)
-     is already installed; runs on this domain, during commit, so the
-     broadcast always precedes the client's Committed response — which
-     is what makes a subsequent min_version read safe to route. *)
+  (* Chain the publish after whatever durability hook (the WAL) is
+     already installed; runs on this domain, during commit, so it always
+     precedes the client's Committed response. *)
   let prior = Db.commit_hook db in
   Db.set_commit_hook db
     (Some
        (fun delta ->
          (match prior with Some f -> f delta | None -> ());
-         let v = Atomic.get t.published + 1 in
-         let encoded = Codec.encode_delta delta in
-         Array.iter (fun q -> push q (Apply (v, encoded))) t.reader_qs;
-         Atomic.set t.published v));
+         ignore (publish t (Codec.encode_delta delta))));
   let rec loop () =
     match pop t.writer_q with
-    | Quit -> ()
-    | Apply _ -> loop ()
-    | Serve job ->
+    | W_quit -> ()
+    | W_serve job ->
       writer_serve t db job;
       loop ()
-    | Feed f ->
+    | W_feed f ->
       (* Replicated records bypass the commit hook by construction
-         ([replay_delta] never re-logs), so the reader broadcast that
-         normally rides the hook happens explicitly here. *)
+         ([replay_delta] never re-logs), so they publish explicitly. *)
       let result =
         try
-          Db.replay_delta db (Codec.decode_delta f.f_record);
-          Engine.propagate (Db.engine db);
-          let v = Atomic.get t.published + 1 in
-          Array.iter (fun q -> push q (Apply (v, f.f_record))) t.reader_qs;
-          Atomic.set t.published v;
+          Replica.default_apply db f.f_record;
+          let v = publish t f.f_record in
           Counters.incr t.ctrs "server.repl_applied";
           Ok v
         with e -> Error e
@@ -290,96 +295,82 @@ let traverse db ~root ~rel ~attr ~depth =
   done;
   (Hashtbl.length seen, Value.sum !values)
 
-let reader_serve t replica ~applied { j_conn; j_env; j_req; j_start_ns } =
+let reader_serve t ~name r { j_conn; j_env; j_req; j_start_ns } =
+  let replica = Replica.db r and version = (Replica.cursor r).Replica.records in
   let h0, m0 = pool_stats replica in
   let resp =
     try
       match j_req with
+      | (Proto.Read { min_version; _ } | Proto.Traverse { min_version; _ })
+        when min_version > version ->
+        (* Unreachable while [publish] fills the mailboxes first; still
+           never park a read or serve it stale. *)
+        Proto.Error
+          {
+            code = Proto.E_server;
+            message =
+              Printf.sprintf "%s at version %d is behind min_version %d" name version min_version;
+          }
       | Proto.Read { instance; attr; _ } ->
-        Proto.Value { version = applied; value = Db.get replica ~watch:false instance attr }
+        Proto.Value { version; value = Db.get replica ~watch:false instance attr }
       | Proto.Traverse { root; rel; attr; depth; _ } ->
         let visited, total = traverse replica ~root ~rel ~attr ~depth in
-        Proto.Traversed { version = applied; visited; total }
+        Proto.Traversed { version; visited; total }
       | req ->
         Proto.Error
           { code = Proto.E_server; message = "reader cannot serve " ^ Proto.verb_name req }
     with e -> Proto.error_of_exn e
   in
   let h1, m1 = pool_stats replica in
-  send_resp t j_conn j_env resp ~verb:(Proto.verb_name j_req) ~start_ns:j_start_ns
-    ~version:applied
+  send_resp t j_conn j_env resp ~verb:(Proto.verb_name j_req) ~start_ns:j_start_ns ~version
     ~pager:(h1 - h0, m1 - m0)
 
-let job_min_version job =
-  match job.j_req with
-  | Proto.Read { min_version; _ } | Proto.Traverse { min_version; _ } -> min_version
-  | _ -> 0
-
-(* A replica is lazy: reads never watch, so an apply only marks and
-   checks constraints, and a read evaluates just the out-of-date cone it
-   asks for.  It is memory-resident: its pool never evicts, because a
-   replica is an in-memory copy and simulated misses would be pure cost.
-
-   A replica that fails to load or apply stops applying but keeps its
-   domain alive: every job it holds or later receives is answered with a
-   typed E_server error instead of waiting forever for a version it will
-   never reach. *)
+(* Each reader follows the published chain in-process: a {!Replica}
+   loaded from the start-up snapshot at version 0, applying only through
+   [Replica.apply_entry], so an out-of-order entry is a typed [Gap].  It
+   is lazy (reads never watch, so an apply only marks and checks
+   constraints) and memory-resident (its pool never evicts).  One that
+   fails to load or apply keeps its domain alive, answering every later
+   job with a typed E_server error instead of leaving it waiting. *)
 let reader_loop t name master_snapshot make_schema q =
-  let applied = ref 0 in
   let failure ~version e =
     Counters.incr t.ctrs "server.replica_failures";
     let message =
       Printf.sprintf "%s failed at version %d: %s" name version (Printexc.to_string e)
     in
     Flight.record_s Flight.Note ~a:version ~b:0 ("replica " ^ message);
-    Error message
+    Error (version, message)
   in
   let state =
     ref
-      (try Ok (Snapshot.load_binary ~buffer_capacity:max_int (make_schema ()) master_snapshot)
+      (try
+         Ok
+           (Replica.create ~cursor:Replica.cursor_zero
+              (Snapshot.load_binary ~buffer_capacity:max_int (make_schema ()) master_snapshot))
        with e -> failure ~version:0 e)
   in
   let apply_h = Histogram.cell t.lats "replica.apply" in
-  let serve job =
-    match !state with
-    | Ok replica -> reader_serve t replica ~applied:!applied job
-    | Error message ->
-      send_resp t job.j_conn job.j_env
-        (Proto.Error { code = Proto.E_server; message })
-        ~verb:(Proto.verb_name job.j_req) ~start_ns:job.j_start_ns ~version:!applied
-  in
-  let ready job = Result.is_error !state || job_min_version job <= !applied in
-  (* The broadcast happens during commit, strictly before the Committed
-     response, so a read naming version v always queues behind Apply v.
-     [deferred] is a safety net, not the expected path. *)
-  let deferred = ref [] in
-  let flush_deferred () =
-    let now, still = List.partition ready !deferred in
-    deferred := still;
-    List.iter serve now
-  in
   let rec loop () =
     match pop q with
-    | Quit -> ()
-    | Apply (v, delta) ->
+    | R_quit -> ()
+    | R_entry e ->
       (match !state with
       | Error _ -> ()
-      | Ok replica -> (
+      | Ok r -> (
         let start_ns = Clock.now_ns () in
-        match
-          Db.replay_delta replica (Codec.decode_delta delta);
-          Engine.propagate (Db.engine replica)
-        with
-        | () ->
-          Histogram.observe apply_h (Clock.elapsed_s ~since:start_ns);
-          applied := v
-        | exception e -> state := failure ~version:v e));
-      flush_deferred ();
+        match Replica.apply_entry r e with
+        | Replica.Applied -> Histogram.observe apply_h (Clock.elapsed_s ~since:start_ns)
+        | Replica.Skipped -> ()
+        | exception ex -> state := failure ~version:e.Replica.e_seq ex));
       loop ()
-    | Serve job ->
-      if ready job then serve job else deferred := job :: !deferred;
+    | R_serve job ->
+      (match !state with
+      | Ok r -> reader_serve t ~name r job
+      | Error (version, message) ->
+        send_resp t job.j_conn job.j_env
+          (Proto.Error { code = Proto.E_server; message })
+          ~verb:(Proto.verb_name job.j_req) ~start_ns:job.j_start_ns ~version);
       loop ()
-    | Feed _ -> loop ()  (* writer-queue only *)
   in
   loop ()
 
@@ -435,8 +426,6 @@ let metrics_body t =
   in
   Metrics.render ~counters ~hists
 
-let route t id = Partition.site_of_range t.partition id
-
 let dispatch t conn payload =
   let start_ns = Clock.now_ns () in
   match Proto.decode_req payload with
@@ -447,19 +436,6 @@ let dispatch t conn payload =
   | env, req -> (
     Counters.incr t.ctrs ("server.req." ^ Proto.verb_name req);
     let job = { j_conn = conn; j_env = env; j_req = req; j_start_ns = start_ns } in
-    let check_version min_version k =
-      if min_version > Atomic.get t.published then
-        send_resp t conn env
-          (Proto.Error
-             {
-               code = Proto.E_protocol;
-               message =
-                 Printf.sprintf "min_version %d not yet committed (latest %d)" min_version
-                   (Atomic.get t.published);
-             })
-          ~verb:(Proto.verb_name req) ~start_ns
-      else k ()
-    in
     match req with
     | Proto.Ping -> send_resp t conn env Proto.Pong ~verb:"ping" ~start_ns
     | Proto.Stats -> send_resp t conn env (stats_reply t) ~verb:"stats" ~start_ns
@@ -471,12 +447,19 @@ let dispatch t conn payload =
         (Proto.Error
            { code = Proto.E_protocol; message = "read-only replica: commits go to the writer" })
         ~verb:"commit" ~start_ns
-    | Proto.Open_session | Proto.Commit _ -> push t.writer_q (Serve job)
-    | Proto.Read { min_version; instance; _ } ->
-      check_version min_version (fun () ->
-          push t.reader_qs.(route t instance) (Serve job))
-    | Proto.Traverse { min_version; root; _ } ->
-      check_version min_version (fun () -> push t.reader_qs.(route t root) (Serve job)))
+    | Proto.Open_session | Proto.Commit _ -> push t.writer_q (W_serve job)
+    | Proto.Read { min_version; instance = id; _ } | Proto.Traverse { min_version; root = id; _ } ->
+      let latest = Atomic.get t.published in
+      if min_version > latest then
+        send_resp t conn env
+          (Proto.Error
+             {
+               code = Proto.E_protocol;
+               message =
+                 Printf.sprintf "min_version %d not yet committed (latest %d)" min_version latest;
+             })
+          ~verb:(Proto.verb_name req) ~start_ns
+      else push t.reader_qs.(Partition.site_of_range t.partition id) (R_serve job))
 
 (* One-shot plain-HTTP scrape endpoint: accept, answer [GET /metrics]
    (anything else gets 404), close.  Blocking is fine — the body is
@@ -630,7 +613,7 @@ let start ?(config = config ()) ~make_schema db =
   let listen_fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
   Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_loopback, config.cfg_port));
-  Unix.listen listen_fd config.cfg_backlog;
+  Unix.listen listen_fd listen_backlog;
   Unix.set_nonblock listen_fd;
   let bound_port =
     match Unix.getsockname listen_fd with
@@ -735,7 +718,7 @@ let inject t record =
   let f =
     { f_record = record; f_mu = Mutex.create (); f_cond = Condition.create (); f_state = None }
   in
-  push t.writer_q (Feed f);
+  push t.writer_q (W_feed f);
   Mutex.lock f.f_mu;
   while f.f_state = None do
     Condition.wait f.f_cond f.f_mu
@@ -750,8 +733,8 @@ let dump_flight t ~reason = flight_dump t reason
 
 let stop t =
   if not (Atomic.exchange t.stop_flag true) then begin
-    push t.writer_q Quit;
-    Array.iter (fun q -> push q Quit) t.reader_qs;
+    push t.writer_q W_quit;
+    Array.iter (fun q -> push q R_quit) t.reader_qs;
     List.iter Domain.join t.domains;
     (try Unix.close t.listen_fd with _ -> ());
     match t.metrics_fd with

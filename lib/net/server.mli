@@ -13,13 +13,16 @@
       fresh schema, and serve [Read]/[Traverse] without ever touching
       the writer's structures.  Readers never block the writer and the
       writer never blocks readers;
-    - {b snapshot handoff}: after each commit the writer broadcasts the
-      encoded delta (the same bytes the WAL stores) to every reader's
-      mailbox, tagged with a monotonically increasing {e version}.
-      Readers apply deltas in order; a request's [min_version] names the
+    - {b snapshot handoff}: every reader is an in-process
+      {!Cactis.Replica} follower.  After each commit (or {!inject}) the
+      writer pushes the encoded delta (the bytes the WAL stores) to
+      every reader's mailbox as chain entry [(0, v-1) -> (0, v)], then
+      advances {!published_version} to version [v]; readers apply it
+      through {!Cactis.Replica.apply_entry}, each apply timed into the
+      [replica.apply] histogram.  A request's [min_version] names the
       snapshot it is content with (read-your-writes when it names the
-      client's own last commit).  Each apply is timed into the
-      [replica.apply] latency histogram;
+      client's own last commit); one above the published version is
+      refused, so a routed read never waits, whoever committed it;
     - {b lazy, memory-resident replicas}: a served read does not make
       the attribute important on the replica (the master keeps the
       paper's rule that a query promotes what it asks), so an apply only
@@ -30,8 +33,8 @@
     - {b typed replica failure}: a replica that cannot load its snapshot
       or apply a delta (say, its schema's constraint rejects a commit
       the master accepted) stops applying, counts
-      [server.replica_failures], and answers every request it holds or
-      later receives with [E_server] naming the reader and the version,
+      [server.replica_failures], and answers every request it later
+      receives with [E_server] naming the reader and the version,
       instead of leaving read-your-writes clients waiting forever;
     - {b a front-end event loop} (its own domain) accepts TCP
       connections on loopback, decodes frames incrementally, answers
@@ -75,7 +78,6 @@ type config
 val config :
   ?port:int ->
   ?readers:int ->
-  ?backlog:int ->
   ?metrics_port:int ->
   ?slow_ms:float ->
   ?slowlog_sink:(string -> unit) ->
@@ -93,8 +95,8 @@ type t
     shared across domains; each replica loads the snapshot against its
     own).  After [start] the caller must not touch [db] again — it
     belongs to the writer domain.  Attach {!Cactis.Persist} {e before}
-    starting; the server chains its delta broadcast after the existing
-    commit hook. *)
+    starting; the server chains its publish after the existing commit
+    hook. *)
 val start : ?config:config -> make_schema:(unit -> Cactis.Schema.t) -> Cactis.Db.t -> t
 
 (** The bound TCP port (useful with [port = 0]). *)
@@ -105,12 +107,12 @@ val metrics_port : t -> int option
 
 val readers : t -> int
 
-(** Highest committed (and broadcast) version. *)
+(** Highest committed (and published) version. *)
 val published_version : t -> int
 
 (** [inject t record] — apply an encoded delta (the WAL / wire record
     format) through the writer domain, exactly as a replicated record:
-    replayed unlogged into the master, broadcast to every reader, and
+    replayed unlogged into the master, published to every reader, and
     assigned the next published version (returned).  Blocks the caller
     until the writer has applied it; a replay failure re-raises here.
     This is how a read-only replica server stays fed by a

@@ -10,6 +10,7 @@
 
 module Db = Cactis.Db
 module Snapshot = Cactis.Snapshot
+module Replica = Cactis.Replica
 module Counters = Cactis_util.Counters
 module Histogram = Cactis_obs.Histogram
 module Frame = Cactis_net.Frame

@@ -21,23 +21,18 @@ module Wal = Cactis_storage.Wal
 module Frame = Cactis_net.Frame
 module P = Repl_proto
 
-type config = {
-  cfg_port : int;
-  cfg_heartbeat_s : float;
-  cfg_max_backlog : int;
-  cfg_send_timeout_s : float;
-  cfg_backlog : int;
-}
+type config = { cfg_port : int; cfg_heartbeat_s : float }
 
-let config ?(port = 0) ?(heartbeat_s = 1.0) ?(max_backlog = 262_144)
-    ?(send_timeout_s = 5.0) ?(backlog = 16) () =
-  {
-    cfg_port = port;
-    cfg_heartbeat_s = heartbeat_s;
-    cfg_max_backlog = max_backlog;
-    cfg_send_timeout_s = send_timeout_s;
-    cfg_backlog = backlog;
-  }
+let config ?(port = 0) ?(heartbeat_s = 1.0) () = { cfg_port = port; cfg_heartbeat_s = heartbeat_s }
+
+(* Backlog items retained before stragglers are evicted. *)
+let max_backlog = 262_144
+
+(* Per-follower send deadline: a consumer stalled longer is dropped. *)
+let send_timeout_s = 5.0
+
+(* Pending-connection queue of the listen socket. *)
+let listen_backlog = 16
 
 (* One shipped stream item.  A record advances the cursor by one WAL
    append; a mark advances it to a checkpoint generation boundary. *)
@@ -135,10 +130,10 @@ let blog_drop_below t seq =
    which would let one stalled follower wedge the whole publisher; this
    write loop gives every follower a hard deadline instead. *)
 
-let send_timed fd ~timeout_s payload =
+let send_timed fd payload =
   let s = Frame.encode payload in
   let len = String.length s in
-  let deadline = Unix.gettimeofday () +. timeout_s in
+  let deadline = Unix.gettimeofday () +. send_timeout_s in
   let off = ref 0 in
   (try
      while !off < len do
@@ -211,8 +206,7 @@ let drop_conn t conn =
 
 let refuse t conn ~code ~message =
   Counters.incr t.counters "repl.refusals";
-  (try send_timed conn.c_fd ~timeout_s:t.cfg.cfg_send_timeout_s
-         (P.encode_server (P.Refuse { code; message }))
+  (try send_timed conn.c_fd (P.encode_server (P.Refuse { code; message }))
    with Repl_error.Transport _ -> ());
   drop_conn t conn
 
@@ -223,8 +217,7 @@ let send_range t conn ~from ~upto =
   let flush () =
     if !batch <> [] then begin
       let entries = List.rev !batch in
-      send_timed conn.c_fd ~timeout_s:t.cfg.cfg_send_timeout_s
-        (P.encode_server (P.Batch { sent_us = now_us (); entries }));
+      send_timed conn.c_fd (P.encode_server (P.Batch { sent_us = now_us (); entries }));
       Counters.incr t.counters "repl.ship_batches";
       Counters.add t.counters "repl.ship_records" (List.length entries);
       Counters.add t.counters "repl.ship_bytes" !batch_bytes;
@@ -241,8 +234,7 @@ let send_range t conn ~from ~upto =
       if !batch_bytes >= 1 lsl 20 then flush ()
     | I_mark { i_prev; i_gen } ->
       flush ();
-      send_timed conn.c_fd ~timeout_s:t.cfg.cfg_send_timeout_s
-        (P.encode_server (P.Mark { seq; prev = i_prev; generation = i_gen }))
+      send_timed conn.c_fd (P.encode_server (P.Mark { seq; prev = i_prev; generation = i_gen }))
   done;
   flush ();
   conn.c_pos <- upto
@@ -268,7 +260,7 @@ let bootstrap t conn =
     conn.c_pos <- t.first_seq;
     conn.c_streaming <- true
   | Some (generation, schema_version, payload) ->
-    send_timed conn.c_fd ~timeout_s:t.cfg.cfg_send_timeout_s
+    send_timed conn.c_fd
       (P.encode_server
          (P.Snap_begin { generation; schema_version; size = String.length payload }));
     let len = String.length payload in
@@ -277,7 +269,7 @@ let bootstrap t conn =
     while (not !sent_any) || !off < len do
       let n = min P.snap_chunk_bytes (len - !off) in
       let last = !off + n >= len in
-      send_timed conn.c_fd ~timeout_s:t.cfg.cfg_send_timeout_s
+      send_timed conn.c_fd
         (P.encode_server (P.Snap_chunk { last; data = String.sub payload !off n }));
       off := !off + n;
       sent_any := true
@@ -315,7 +307,7 @@ let handle_hello t conn (cursor : P.cursor) =
    must not believe itself synced at the first frame boundary. *)
 let announce t conn =
   try
-    send_timed conn.c_fd ~timeout_s:t.cfg.cfg_send_timeout_s
+    send_timed conn.c_fd
       (P.encode_server
          (P.Heartbeat { head_seq = t.next_seq - 1; cursor = t.chain; sent_us = now_us () }))
   with Repl_error.Transport _ -> drop_conn t conn
@@ -372,8 +364,8 @@ let prune t =
   let floor = { P.gen = t.chain.P.gen - 1; records = 0 } in
   let gen_keep = match first_past t floor with Some s -> s | None -> t.next_seq in
   blog_drop_below t (min gen_keep min_pos);
-  if blog_size t > t.cfg.cfg_max_backlog then begin
-    let hard = t.next_seq - t.cfg.cfg_max_backlog in
+  if blog_size t > max_backlog then begin
+    let hard = t.next_seq - max_backlog in
     List.iter
       (fun c -> if c.c_streaming && c.c_pos < hard then drop_conn t c)
       t.conns;
@@ -391,7 +383,7 @@ let heartbeat t =
   List.iter
     (fun c ->
       if c.c_streaming then
-        try send_timed c.c_fd ~timeout_s:t.cfg.cfg_send_timeout_s msg
+        try send_timed c.c_fd msg
         with Repl_error.Transport _ -> drop_conn t c)
     t.conns
 
@@ -494,7 +486,7 @@ let start ?(config = config ()) persist =
   let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
   Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_loopback, config.cfg_port));
-  Unix.listen listen_fd config.cfg_backlog;
+  Unix.listen listen_fd listen_backlog;
   Unix.set_nonblock listen_fd;
   let lport =
     match Unix.getsockname listen_fd with

@@ -20,8 +20,9 @@
     The backlog retains the current and previous checkpoint
     generations (a reconnecting follower can resume across one
     checkpoint); older items are pruned once every connected follower
-    has passed them.  A follower further behind than [max_backlog]
-    items is evicted and re-bootstraps on reconnect.
+    has passed them.  A follower further behind than 262 144 items is
+    evicted and re-bootstraps on reconnect, and one whose socket stays
+    unwritable for 5 s is dropped; either reconnects and resyncs.
 
     Counters ([repl.ship_*], [repl.snapshots_served], [repl.refusals],
     ...) and the follower-lag histogram land in the database's own
@@ -30,17 +31,8 @@
 
 type config
 
-(** [config ()] — ephemeral loopback port, 1 s heartbeats, 256k-item
-    backlog cap, 5 s per-follower send deadline (a consumer stalled
-    longer is dropped; it reconnects and resyncs). *)
-val config :
-  ?port:int ->
-  ?heartbeat_s:float ->
-  ?max_backlog:int ->
-  ?send_timeout_s:float ->
-  ?backlog:int ->
-  unit ->
-  config
+(** [config ()] — ephemeral loopback port, 1 s heartbeats. *)
+val config : ?port:int -> ?heartbeat_s:float -> unit -> config
 
 type t
 

@@ -6,14 +6,11 @@ let code_protocol = "protocol"
 
 exception Refused of { code : string; message : string }
 
-(* Raised by the codec, rebound here so callers catch every replication
-   failure through one module. *)
+(* Raised by the codec and the apply engine, rebound here so callers
+   catch every replication failure through one module. *)
 exception Corrupt = Repl_proto.Corrupt
-
-exception
-  Gap of { expected : Repl_proto.cursor; got : Repl_proto.cursor; seq : int }
-
-exception Diverged of { violations : string list }
+exception Gap = Cactis.Replica.Gap
+exception Diverged = Cactis.Replica.Diverged
 exception Transport of string
 
 let to_string = function

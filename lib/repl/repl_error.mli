@@ -29,18 +29,14 @@ val code_protocol : string
 
 exception Refused of { code : string; message : string }
 
-(** The {e same} exception as {!Repl_proto.Corrupt} (rebound, not
-    redeclared): raised by the codec, caught through this module like
-    every other replication failure. *)
+(** {!Corrupt}, {!Gap} and {!Diverged} are the {e same} exceptions as
+    {!Repl_proto.Corrupt}, {!Cactis.Replica.Gap} and
+    {!Cactis.Replica.Diverged} (rebound, not redeclared): raised by the
+    codec and the apply engine, caught through this module like every
+    other replication failure. *)
 exception Corrupt of { context : string; message : string }
 
-exception
-  Gap of {
-    expected : Repl_proto.cursor;  (** the replica's cursor *)
-    got : Repl_proto.cursor;  (** the record's predecessor cursor *)
-    seq : int;  (** stream sequence number of the offending item *)
-  }
-
+exception Gap of { expected : Repl_proto.cursor; got : Repl_proto.cursor; seq : int }
 exception Diverged of { violations : string list }
 exception Transport of string
 

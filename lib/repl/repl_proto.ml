@@ -2,25 +2,23 @@
    primitives.  See the interface for the cursor/chain model. *)
 
 module Codec = Cactis.Codec
+module Replica = Cactis.Replica
 module Wal = Cactis_storage.Wal
 
-type cursor = { gen : int; records : int }
+type cursor = Replica.cursor = { gen : int; records : int }
 
-let cursor_zero = { gen = 0; records = 0 }
+let cursor_zero = Replica.cursor_zero
+let cursor_compare = Replica.cursor_compare
+let cursor_to_string = Replica.cursor_to_string
 
-let cursor_compare a b =
-  match compare a.gen b.gen with 0 -> compare a.records b.records | c -> c
-
-let cursor_to_string c = Printf.sprintf "(gen %d, record %d)" c.gen c.records
-
-type entry = {
+type entry = Replica.entry = {
   e_seq : int;
   e_prev : cursor;
   e_cursor : cursor;
   e_record : string;
 }
 
-exception Corrupt of { context : string; message : string }
+exception Corrupt = Replica.Corrupt
 
 let corrupt context fmt = Printf.ksprintf (fun message -> raise (Corrupt { context; message })) fmt
 
@@ -113,7 +111,9 @@ let encode_server_body m =
     Codec.write_uint b generation
   | Heartbeat { head_seq; cursor; sent_us } ->
     Buffer.add_char b (Char.chr tag_heartbeat);
-    Codec.write_uint b head_seq;
+    (* head_seq -1 means "nothing shipped yet" (a writer with an empty
+       log): shifted by one like Ack's seq. *)
+    Codec.write_uint b (head_seq + 1);
     write_cursor b cursor;
     Codec.write_uint b sent_us);
   Buffer.contents b
@@ -225,7 +225,7 @@ let decode_server s =
           Mark { seq; prev; generation }
         end
         else if tag = tag_heartbeat then begin
-          let head_seq = Codec.read_uint r in
+          let head_seq = Codec.read_uint r - 1 in
           let cursor = read_cursor r in
           let sent_us = Codec.read_uint r in
           Heartbeat { head_seq; cursor; sent_us }

@@ -9,39 +9,26 @@
     flipped byte anywhere surfaces as a typed {!Corrupt} error, never
     as a silently divergent replica.
 
-    {2 Cursors}
+    Cursors, entries and the chain rules that make the stream
+    self-verifying under truncation, duplication and reordering belong
+    to {!Cactis.Replica}; they are rebound here for the wire format. *)
 
-    A replica's position is a {!cursor} [(generation, records)]: the
-    state reached by loading checkpoint [generation] and applying
-    [records] log records on top.  Cursors are totally ordered
-    ({!cursor_compare}, lexicographic) because a checkpoint folds all
-    prior records into the next generation's snapshot.
-
-    {2 The chain}
-
-    Every streamed item carries the cursor it applies {e on top of}
-    ([prev]) and the cursor it produces.  A follower applies an item
-    iff [prev] equals its own cursor; an already-passed item is
-    skipped (duplicate tolerance), anything else is a typed gap.  This
-    makes the stream self-verifying under truncation, duplication and
-    reordering — the fault-injection suite exercises exactly these. *)
-
-type cursor = { gen : int; records : int }
+type cursor = Cactis.Replica.cursor = { gen : int; records : int }
 
 val cursor_zero : cursor
 val cursor_compare : cursor -> cursor -> int
 val cursor_to_string : cursor -> string
 
 (** One shipped WAL record. *)
-type entry = {
-  e_seq : int;  (** absolute position in the publisher's stream *)
-  e_prev : cursor;  (** state this record applies on top of *)
-  e_cursor : cursor;  (** state after applying it *)
-  e_record : string;  (** {!Cactis.Codec.encode_delta} bytes *)
+type entry = Cactis.Replica.entry = {
+  e_seq : int;
+  e_prev : cursor;
+  e_cursor : cursor;
+  e_record : string;
 }
 
-(** Raised on any CRC, framing or tag violation while decoding
-    (rebound as {!Repl_error.Corrupt}). *)
+(** Raised on any CRC, framing or tag violation while decoding; the
+    {e same} exception as {!Cactis.Replica.Corrupt}. *)
 exception Corrupt of { context : string; message : string }
 
 (** Follower → writer. *)
@@ -67,7 +54,8 @@ type server_msg =
           checkpoint [generation] — advance to [(generation, 0)]
           without applying anything. *)
   | Heartbeat of { head_seq : int; cursor : cursor; sent_us : int }
-      (** Liveness + lag: the writer's stream head and cursor. *)
+      (** Liveness + lag: the writer's stream head ([-1] before any
+          item) and cursor. *)
 
 val encode_client : client_msg -> string
 val encode_server : server_msg -> string

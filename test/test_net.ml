@@ -423,6 +423,55 @@ let test_concurrent_clients () =
       Alcotest.(check int) "writer client committed every round" rounds writes;
       Alcotest.(check int) "all commits published" rounds (Server.published_version server))
 
+(* Cross-client read-your-writes: the version one client's commit
+   returned is readable at once by every other client, on both readers.
+   Readers park no reads; this holds because the writer fills every
+   reader's mailbox before it publishes the version.  Commit i sets c to
+   i and is version i, so a reader at version v must show c = v (3 at
+   version 0) and a = 1 + 2 + c. *)
+let test_cross_client_min_version () =
+  with_server ~readers:2 (fun server (a, _, c) ->
+      let port = Server.port server in
+      let rounds = 100 in
+      let latest = Atomic.make 0 and finished = Atomic.make false in
+      let writer =
+        Domain.spawn (fun () ->
+            let cl = Client.connect ~port () in
+            Fun.protect ~finally:(fun () -> Client.close cl; Atomic.set finished true) @@ fun () ->
+            for i = 1 to rounds do
+              let version, _ =
+                Client.commit cl [ Proto.Set { instance = c; attr = "local"; value = int i } ]
+              in
+              Atomic.set latest version
+            done)
+      in
+      let reader () =
+        Domain.spawn (fun () ->
+            let cl = Client.connect ~port () in
+            Fun.protect ~finally:(fun () -> Client.close cl) @@ fun () ->
+            let fresh = ref 0 in
+            let check ~instance ~attr expected_of =
+              let min_version = Atomic.get latest in
+              let v, version = Client.read cl ~min_version ~instance ~attr in
+              if version < min_version then
+                Alcotest.failf "served version %d below min_version %d" version min_version;
+              let c_at = if version = 0 then 3 else version in
+              if not (Value.equal v (int (expected_of c_at))) then
+                Alcotest.failf "%s at version %d is %s" attr version (Value.to_string v);
+              if min_version > 0 then incr fresh
+            in
+            while not (Atomic.get finished) do
+              check ~instance:c ~attr:"local" Fun.id;
+              check ~instance:a ~attr:"total" (fun c_at -> 1 + 2 + c_at)
+            done;
+            !fresh)
+      in
+      let readers = [ reader (); reader () ] in
+      Domain.join writer;
+      let fresh = List.fold_left (fun acc d -> acc + Domain.join d) 0 readers in
+      Alcotest.(check bool) "reads named a committed version" true (fresh > 0);
+      Alcotest.(check int) "all commits published" rounds (Server.published_version server))
+
 (* Replicas whose schema carries a constraint the master lacks: a commit
    the master accepts then fails every replica's apply. *)
 let capped_schema () =
@@ -724,6 +773,7 @@ let () =
           Alcotest.test_case "stats" `Quick test_stats_verb;
           Alcotest.test_case "garbage frame" `Quick test_garbage_frame_gets_protocol_error;
           Alcotest.test_case "concurrent clients" `Quick test_concurrent_clients;
+          Alcotest.test_case "cross-client min_version" `Quick test_cross_client_min_version;
           Alcotest.test_case "replica failure is typed" `Quick test_replica_failure_is_typed;
           QCheck_alcotest.to_alcotest test_qcheck_lazy_replicas;
           Alcotest.test_case "wal chain survives restart" `Quick test_wal_chain_survives_restart;

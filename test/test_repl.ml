@@ -33,9 +33,12 @@ module Rng = Cactis_util.Rng
 module Counters = Cactis_util.Counters
 module P = Cactis_repl.Repl_proto
 module E = Cactis_repl.Repl_error
-module Replica = Cactis_repl.Replica
+module Replica = Cactis.Replica
 module Publisher = Cactis_repl.Publisher
 module Follower = Cactis_repl.Follower
+module Server = Cactis_net.Server
+module Client = Cactis_net.Client
+module Proto = Cactis_net.Proto
 module G = Gen_schemas
 module Proxy = Repl_proxy
 
@@ -213,6 +216,7 @@ let sample_server_msgs =
     P.Batch { sent_us = 0; entries = [] };
     P.Mark { seq = 17; prev = c 1 42; generation = 2 };
     P.Heartbeat { head_seq = 99; cursor = c 3 5; sent_us = 123_456_789 };
+    P.Heartbeat { head_seq = -1; cursor = c 1 0; sent_us = 0 };  (* empty log *)
   ]
 
 let sample_client_msgs =
@@ -427,6 +431,71 @@ let test_bootstrap_from_checkpoint () =
   Publisher.stop pub;
   Persist.close p;
   rm_rf dir
+
+(* The read-only follower server, as `cactis serve --follow` wires it:
+   sync, serve the replica with [read_only], then route every shipped
+   record through [Server.inject].  The writer is populated before
+   attaching, so the follower bootstraps from a snapshot whose instances
+   spread over both readers. *)
+let test_follower_server () =
+  let dir = temp_dir () in
+  let db = Db.create (make_schema ()) in
+  let ids =
+    List.init 8 (fun i ->
+        let id = Db.create_instance db "k" in
+        Db.set db id "a0" (Value.Int i);
+        id)
+  in
+  let p = Persist.attach ~sync_every:0 ~dir db in
+  let pub = Publisher.start ~config:(Publisher.config ~heartbeat_s:0.25 ()) p in
+  let f = follower ~cfg:(fast_cfg ~check_every:0 ()) (Publisher.port pub) in
+  let server =
+    Server.start
+      ~config:(Server.config ~readers:2 ~read_only:true ())
+      ~make_schema (Follower.sync f)
+  in
+  let injected = Atomic.make 0 in
+  Follower.set_apply f (Some (fun record -> Atomic.set injected (Server.inject server record)));
+  let streaming = Domain.spawn (fun () -> Follower.run f) in
+  Fun.protect
+    ~finally:(fun () ->
+      Follower.stop f;
+      Domain.join streaming;
+      Server.stop server;
+      Publisher.stop pub;
+      Persist.close p;
+      rm_rf dir)
+  @@ fun () ->
+  let cl = Client.connect ~port:(Server.port server) () in
+  Fun.protect ~finally:(fun () -> Client.close cl) @@ fun () ->
+  Db.with_txn db (fun () -> List.iter (fun id -> Db.set db id "a0" (Value.Int (1000 + id))) ids);
+  wait_for "first record injected" (fun () -> Atomic.get injected = 1);
+  let version = Atomic.get injected in
+  List.iter
+    (fun id ->
+      let v, served = Client.read cl ~min_version:version ~instance:id ~attr:"r0" in
+      Alcotest.(check bool) "served at the injected version" true (served >= version);
+      Alcotest.(check bool)
+        (Printf.sprintf "instance %d shows the writer's commit" id)
+        true
+        (Value.equal v (Value.Int (((1000 + id) * 2) + 1))))
+    ids;
+  let first = List.hd ids in
+  (match Client.commit cl [ Proto.Set { instance = first; attr = "a0"; value = Value.Int 0 } ] with
+  | exception Client.Remote { code = Proto.E_protocol; message } ->
+    Alcotest.(check bool) "names the read-only replica" true
+      (String.starts_with ~prefix:"read-only replica" message)
+  | _ -> Alcotest.fail "a client commit on a follower must be refused");
+  for i = 1 to 4 do
+    Db.with_txn db (fun () -> Db.set db first "a0" (Value.Int i))
+  done;
+  wait_for "every record injected" (fun () -> Atomic.get injected = 5);
+  wait_for "every record counted as shipped" (fun () -> counter db "repl.ship_records" = 5);
+  Alcotest.(check int) "repl_applied = records shipped" 5
+    (Counters.get (Server.counters server) "server.repl_applied");
+  Alcotest.(check int) "published version" 5 (Server.published_version server);
+  let v, _ = Client.read cl ~min_version:5 ~instance:first ~attr:"a0" in
+  Alcotest.(check bool) "last commit readable" true (Value.equal v (Value.Int 4))
 
 let test_reconnect_resume () =
   let env = writer_env () in
@@ -875,6 +944,8 @@ let () =
             test_stream_convergence;
           Alcotest.test_case "snapshot bootstrap then log catch-up" `Quick
             test_bootstrap_from_checkpoint;
+          Alcotest.test_case "read-only follower server serves what it is fed" `Quick
+            test_follower_server;
           Alcotest.test_case "mid-stream truncation resumes without re-bootstrap" `Quick
             test_reconnect_resume;
         ] );
