@@ -204,8 +204,9 @@ let linked t id rel =
     (* Listing a relationship traverses it: record one crossing per
        related instance (§2.3's self-adaptive statistics), so plain
        structural traversals — not just dependency propagation — feed
-       the clustering strategies. *)
-    let rel_sym = Symbol.intern rel in
+       the clustering strategies.  The link slot already holds the
+       interned name, so no traversal step hashes [rel]. *)
+    let rel_sym = inst.Instance.layout.Schema.lay_links.(ix).Schema.li_sym in
     List.iter
       (fun other -> Usage.cross_sym t.usage ~from_instance:id ~rel_sym ~to_instance:other)
       ids;

@@ -1,6 +1,8 @@
 (* LRU implemented as a doubly-linked list of frames plus a flat index
    by block number (blocks are small dense ints).  The list head is the
-   most recently used frame.
+   most recently used frame.  A pool of capacity [max_int] never evicts,
+   so it keeps no recency order: a hit only bumps the hit counter, and
+   the list just holds every resident frame (newest miss first).
 
    Frames carry a dirty bit: a dirty frame's block image is re-rendered
    (via the pager-installed [render] callback) and written back to the
@@ -91,11 +93,13 @@ let touch ?(dirty = false) t block =
   | Some f ->
     t.hit_count <- t.hit_count + 1;
     if dirty then f.dirty <- true;
-    (match t.head with
-    | Some h when h == f -> ()  (* already most recent: skip the relink *)
-    | _ ->
-      unlink t f;
-      push_front t f);
+    if t.cap <> max_int then begin
+      match t.head with
+      | Some h when h == f -> ()  (* already most recent: skip the relink *)
+      | _ ->
+        unlink t f;
+        push_front t f
+    end;
     `Hit
   | None ->
     t.miss_count <- t.miss_count + 1;

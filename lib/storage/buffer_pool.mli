@@ -9,7 +9,12 @@
     Frames carry a dirty bit.  Evicting or flushing a dirty frame writes
     the block's current image back to the device — rendered by the
     callback installed with {!set_render} (the pager supplies it), a
-    bare counter bump otherwise. *)
+    bare counter bump otherwise.
+
+    A pool created with [capacity = max_int] is resident: it can never
+    evict, so it keeps no recency order and a hit only bumps the hit
+    counter (no LRU relink, no allocation).  Hit, miss and block counts
+    are the same as an LRU pool's would be. *)
 
 type t
 
@@ -35,7 +40,8 @@ val mark_dirty : t -> int -> unit
     (does not affect recency). *)
 val resident : t -> int -> bool
 
-(** Blocks currently buffered, most recent first. *)
+(** Blocks currently buffered, most recent first; unordered for a
+    resident ([max_int]) pool. *)
 val contents : t -> int list
 
 val capacity : t -> int

@@ -6,7 +6,17 @@
     evaluation or marking out of date", and these counts drive the
     periodic re-clustering.  Instances are identified by integers and
     relationship crossings by the unordered pair of instance ids plus the
-    relationship name. *)
+    relationship name.
+
+    Representation: instance ids are small dense ints, so counts live in
+    flat arrays indexed by id.  A crossing is stored with its lower
+    instance id, as an (interned relationship, higher id, count) triple
+    in that id's growable int array.  {!touch_instance} is one array
+    bump; {!cross_sym} is one index plus a scan of the lower id's
+    crossings, and allocates nothing once the link has been crossed
+    before.  {!forget_instance} scans the crossings of every smaller id;
+    the whole-table exports ({!crossings}, {!rel_totals}) walk every
+    triple. *)
 
 type t
 

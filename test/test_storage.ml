@@ -189,6 +189,173 @@ let test_usage_counts () =
   Alcotest.(check int) "crossings forgotten" 0
     (Usage.crossing_count u ~from_instance:1 ~rel:"r" ~to_instance:2)
 
+(* [Usage] against a reference model: a hash table keyed by the
+   canonical (lo, rel, hi) crossing, plus per-instance counts.  Ops mix
+   both crossing entry points, both directions, self-crossings, three
+   relationship names, forgets and resets. *)
+type usage_op =
+  | Cross of int * int * int * bool  (* from, rel index, to, via cross_sym *)
+  | Touch of int
+  | Forget of int
+  | Reset
+
+let usage_rels = [| "r"; "s"; "t" |]
+let usage_ids = 10
+
+let usage_op_gen =
+  QCheck.Gen.(
+    let id = int_range 0 (usage_ids - 1) and rel = int_range 0 2 in
+    frequency
+      [
+        (12, map (fun (a, r, b, sym) -> Cross (a, r, b, sym)) (quad id rel id bool));
+        (3, map2 (fun a r -> Cross (a, r, a, false)) id rel);
+        (3, map (fun a -> Touch a) id);
+        (2, map (fun a -> Forget a) id);
+        (1, return Reset);
+      ])
+
+let print_usage_op = function
+  | Cross (a, r, b, sym) ->
+    Printf.sprintf "%s %d %s %d" (if sym then "cross_sym" else "cross") a usage_rels.(r) b
+  | Touch a -> Printf.sprintf "touch %d" a
+  | Forget a -> Printf.sprintf "forget %d" a
+  | Reset -> "reset"
+
+let prop_usage_reference_model =
+  QCheck.Test.make ~name:"usage matches reference hash-table model" ~count:300
+    QCheck.(make ~print:Print.(list print_usage_op) Gen.(list_size (int_range 0 60) usage_op_gen))
+    (fun ops ->
+      let u = Usage.create () in
+      let crossings = Hashtbl.create 16 and touches = Hashtbl.create 16 in
+      let bump tbl k = Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)) in
+      let sorted l = List.sort compare l in
+      let agrees () =
+        let counts_ok = ref true in
+        for a = 0 to usage_ids - 1 do
+          for b = 0 to usage_ids - 1 do
+            Array.iter
+              (fun rel ->
+                let expected =
+                  Option.value ~default:0 (Hashtbl.find_opt crossings (min a b, rel, max a b))
+                in
+                counts_ok :=
+                  !counts_ok
+                  && Usage.crossing_count u ~from_instance:a ~rel ~to_instance:b = expected)
+              usage_rels
+          done
+        done;
+        let model_crossings =
+          Hashtbl.fold
+            (fun (lo, rel, hi) c acc -> ({ Usage.from_instance = lo; rel; to_instance = hi }, c) :: acc)
+            crossings []
+        in
+        let totals = Hashtbl.create 4 in
+        Hashtbl.iter
+          (fun (_, rel, _) c ->
+            Hashtbl.replace totals rel (c + Option.value ~default:0 (Hashtbl.find_opt totals rel)))
+          crossings;
+        let model_totals =
+          Hashtbl.fold (fun rel c acc -> (rel, c) :: acc) totals []
+          |> List.sort (fun (a, ca) (b, cb) -> match compare cb ca with 0 -> compare a b | c -> c)
+        in
+        !counts_ok
+        && sorted (Usage.crossings u) = sorted model_crossings
+        && Usage.rel_totals u = model_totals
+        && sorted (Usage.instances u) = sorted (Hashtbl.fold (fun id c acc -> (id, c) :: acc) touches [])
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Cross (a, r, b, sym) ->
+            let rel = usage_rels.(r) in
+            if sym then
+              Usage.cross_sym u ~from_instance:a ~rel_sym:(Cactis_util.Symbol.intern rel)
+                ~to_instance:b
+            else Usage.cross u ~from_instance:a ~rel ~to_instance:b;
+            bump crossings (min a b, rel, max a b)
+          | Touch a ->
+            Usage.touch_instance u a;
+            bump touches a
+          | Forget a ->
+            Usage.forget_instance u a;
+            Hashtbl.remove touches a;
+            Hashtbl.filter_map_inplace
+              (fun (lo, _, hi) c -> if lo = a || hi = a then None else Some c)
+              crossings
+          | Reset ->
+            Usage.reset u;
+            Hashtbl.reset crossings;
+            Hashtbl.reset touches);
+          agrees ())
+        ops)
+
+(* The per-access bookkeeping allocates nothing once warm: re-crossing a
+   seen link and hitting a resident ([max_int]) pool.  The bound allows
+   for the boxed floats [Gc.minor_words] itself returns. *)
+let minor_words_during f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_access_bookkeeping_allocation_free () =
+  let u = Usage.create () in
+  let r = Cactis_util.Symbol.intern "r" and s = Cactis_util.Symbol.intern "s" in
+  let cross_all () =
+    for k = 0 to 9_999 do
+      let a = k mod 100 in
+      if k land 1 = 0 then Usage.cross_sym u ~from_instance:a ~rel_sym:r ~to_instance:(a + 1)
+      else Usage.cross_sym u ~from_instance:(a + 1) ~rel_sym:s ~to_instance:a
+    done
+  in
+  cross_all ();
+  let words = minor_words_during cross_all in
+  Alcotest.(check bool) (Printf.sprintf "10k re-crossings allocate %.0f words" words) true
+    (words <= 16.);
+  (* Two passes, each crossing (0, r, 1) at every k = 0 mod 100. *)
+  Alcotest.(check int) "counts kept" 200
+    (Usage.crossing_count u ~from_instance:0 ~rel:"r" ~to_instance:1);
+  let pool = Buffer_pool.create ~capacity:max_int (Disk.create ()) in
+  for b = 0 to 99 do
+    ignore (Buffer_pool.touch pool b)
+  done;
+  let hit_all () =
+    for k = 0 to 9_999 do
+      ignore (Buffer_pool.touch pool (k mod 100))
+    done
+  in
+  let words = minor_words_during hit_all in
+  Alcotest.(check bool) (Printf.sprintf "10k resident hits allocate %.0f words" words) true
+    (words <= 16.);
+  Alcotest.(check int) "hits counted" 10_000 (Buffer_pool.hits pool);
+  Alcotest.(check int) "misses counted" 100 (Buffer_pool.misses pool)
+
+(* A resident pool keeps no recency order, but its accounting is a
+   plain set model: a block hits iff touched before; [contents] lists
+   every resident block; a flush writes back every dirty one. *)
+let prop_resident_pool_model =
+  QCheck.Test.make ~name:"resident pool matches a set model" ~count:200
+    QCheck.(list (pair (int_range 0 30) bool))
+    (fun touches ->
+      let pool = Buffer_pool.create ~capacity:max_int (Disk.create ()) in
+      let seen = Hashtbl.create 16 and dirty = Hashtbl.create 16 in
+      let hits = ref 0 and ok = ref true in
+      List.iter
+        (fun (b, d) ->
+          let expected = if Hashtbl.mem seen b then (incr hits; `Hit) else `Miss in
+          ok := !ok && Buffer_pool.touch ~dirty:d pool b = expected;
+          Hashtbl.replace seen b ();
+          if d then Hashtbl.replace dirty b ())
+        touches;
+      let model = List.sort compare (Hashtbl.fold (fun b () acc -> b :: acc) seen []) in
+      let resident_ok = List.for_all (fun b -> Buffer_pool.resident pool b = Hashtbl.mem seen b) (List.init 32 Fun.id) in
+      let contents = List.sort compare (Buffer_pool.contents pool) in
+      Buffer_pool.flush pool;
+      !ok && resident_ok && contents = model
+      && Buffer_pool.hits pool = !hits
+      && Buffer_pool.misses pool = List.length model
+      && Buffer_pool.writebacks pool = Hashtbl.length dirty
+      && Buffer_pool.contents pool = [])
+
 (* ---- Clustering ---- *)
 
 let test_cluster_paper_algorithm () =
@@ -456,7 +623,8 @@ let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_pool_capacity; prop_pool_immediate_rehit; prop_cluster_partition;
-      prop_every_strategy_partitions; prop_pool_reference_lru;
+      prop_every_strategy_partitions; prop_pool_reference_lru; prop_usage_reference_model;
+      prop_resident_pool_model;
     ]
 
 let () =
@@ -479,7 +647,12 @@ let () =
           Alcotest.test_case "block roundtrip" `Quick test_disk_roundtrip;
           Alcotest.test_case "pager block images" `Quick test_pager_real_block_images;
         ] );
-      ("usage", [ Alcotest.test_case "counts" `Quick test_usage_counts ]);
+      ( "usage",
+        [
+          Alcotest.test_case "counts" `Quick test_usage_counts;
+          Alcotest.test_case "allocation-free re-crossings and resident hits" `Quick
+            test_access_bookkeeping_allocation_free;
+        ] );
       ( "clustering",
         [
           Alcotest.test_case "paper algorithm" `Quick test_cluster_paper_algorithm;
