@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build check test format-compat lint analyze bench bench-fast bench-json bench-persist bench-cluster bench-cluster-smoke bench-qps bench-qps-smoke bench-flight bench-flight-smoke bench-analyze bench-analyze-smoke bench-repl bench-repl-smoke bench-pairs stats trace examples clean
+.PHONY: all build check test format-compat lint analyze bench bench-fast bench-json bench-persist bench-cluster bench-qps bench-flight bench-analyze bench-repl bench-pairs stats trace examples clean
 
 # Output path for the machine-readable experiment record; override with
 # `make bench-json BENCH_JSON=BENCH_1.json` to regenerate earlier runs.
@@ -20,7 +20,9 @@ build:
 # Everything CI needs: full build, full test suite (which includes the
 # schema-versioning suite and its on-disk format-compat fixture check),
 # an explicit format-compat pass, and a fast pass over every experiment
-# to catch harness regressions.
+# to catch harness regressions.  The fast pass fails if any experiment's
+# gates table holds a FAIL row (E16's >= 2x block reads, E18's
+# bit-identical counters, E19's sweep bound, E20's digests, ...).
 check:
 	dune build @all
 	dune runtest --force
@@ -75,59 +77,44 @@ bench-persist:
 # Clustering shoot-out on a real block file (E16): per-strategy block
 # reads, buffer hit rate and wall time, plus the incremental-maintenance
 # disruption table.  The full run records its results in
-# $(CLUSTER_JSON); the smoke variant is the CI gate.
+# $(CLUSTER_JSON).
 CLUSTER_JSON ?= BENCH_4.json
 bench-cluster:
 	dune exec bench/main.exe -- E16 --json $(CLUSTER_JSON)
 
-bench-cluster-smoke:
-	dune exec bench/main.exe -- --fast E16
-
 # Multi-client QPS over TCP (E17): 4 client processes against the
 # domain-parallel server at 1/2/4 reader domains.  The full run records
-# $(QPS_JSON); the smoke variant is the CI gate (the >=2x scaling
-# assertion arms itself only on machines with >=4 cores).
+# $(QPS_JSON) (the >=2x scaling gate arms itself only on machines with
+# >=4 cores).
 QPS_JSON ?= BENCH_5.json
 bench-qps:
 	dune exec bench/main.exe -- E17 --json $(QPS_JSON)
 
-bench-qps-smoke:
-	dune exec bench/main.exe -- --fast E17
-
 # Flight-recorder overhead (E18): the E13 incremental workload with the
 # ring recording vs switched off.  Counters must be bit-identical; the
-# full run also gates cpu overhead at 5% (the smoke variant measures a
-# run too short to judge and skips the gate).
+# full run also gates cpu overhead at 5% (a --fast run is too short to
+# judge and reports that gate skipped).
 FLIGHT_JSON ?= BENCH_6.json
 bench-flight:
 	dune exec bench/main.exe -- E18 --json $(FLIGHT_JSON)
-
-bench-flight-smoke:
-	dune exec bench/main.exe -- --fast E18
 
 # Cost/convergence analysis + bounded fixed-point evaluation (E19): the
 # per-attribute cost tables, the instance-count invariance measurement,
 # and flowan While-loop CFGs run to a proven fixed point with the sweep
 # count gated by the static iteration bound.  The full run records
-# $(ANALYZE_JSON); the smoke variant is the CI gate.
+# $(ANALYZE_JSON).
 ANALYZE_JSON ?= BENCH_7.json
 bench-analyze:
 	dune exec bench/main.exe -- E19 --json $(ANALYZE_JSON)
-
-bench-analyze-smoke:
-	dune exec bench/main.exe -- --fast E19
 
 # WAL-shipping replication (E20): a writer ships its commit log to two
 # live followers plus a late follower that measures snapshot-bootstrap
 # catch-up; the gate requires byte-identical snapshot digests, a clean
 # integrity audit and zero sequence gaps on every replica.  The full
-# run records $(REPL_JSON); the smoke variant is the CI gate.
+# run records $(REPL_JSON).
 REPL_JSON ?= BENCH_8.json
 bench-repl:
 	dune exec bench/main.exe -- E20 --json $(REPL_JSON)
-
-bench-repl-smoke:
-	dune exec bench/main.exe -- --fast E20
 
 # Paired runs of the benchmark in benchmark/: BASE (a git revision)
 # against this working tree on one workload, PAIRS fresh seeds (from

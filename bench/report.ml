@@ -35,19 +35,30 @@ let table ~headers rows =
     | s :: _ -> s.tables <- { headers; rows } :: s.tables
     | [] -> ()
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* ------------------------------------------------------------------ *)
+(* Gates: an experiment's pass/fail checks.  [gate] records one row;
+   [close_gates] prints the experiment's rows as one table (so they
+   ride into --json too) and returns the names of the failed ones.
+   A [skip] reason replaces the verdict when the check cannot judge
+   this run.                                                          *)
+
+let gate_rows : string list list ref = ref []  (* newest first *)
+
+let gate ?skip ~name ~ok detail =
+  let verdict =
+    match skip with
+    | Some why -> Printf.sprintf "skipped (%s)" why
+    | None -> if ok then "pass" else "FAIL"
+  in
+  gate_rows := [ name; verdict; detail ] :: !gate_rows
+
+let close_gates () =
+  let rows = List.rev !gate_rows in
+  gate_rows := [];
+  if rows <> [] then table ~headers:[ "gate"; "verdict"; "detail" ] rows;
+  List.filter_map (function [ name; "FAIL"; _ ] -> Some name | _ -> None) rows
+
+let json_string s = Printf.sprintf "\"%s\"" (Cactis_obs.Flight.json_escape s)
 
 (* Cells holding plain numbers are emitted as JSON numbers so counters
    can be consumed without re-parsing. *)
@@ -57,9 +68,7 @@ let json_cell s =
   | None -> (
     match float_of_string_opt s with
     | Some f when Float.is_finite f -> Printf.sprintf "%g" f
-    | Some _ | None -> Printf.sprintf "\"%s\"" (json_escape s))
-
-let json_string s = Printf.sprintf "\"%s\"" (json_escape s)
+    | Some _ | None -> json_string s)
 
 let write_json path =
   let buf = Buffer.create 4096 in

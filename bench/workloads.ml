@@ -37,6 +37,14 @@ let chain db n =
   done;
   ids
 
+(* A chain with its head's [total] watched and evaluated once. *)
+let watched_chain ?strategy n =
+  let db = make_db ?strategy () in
+  let ids = chain db n in
+  Db.watch db ids.(0) "total";
+  ignore (Db.get db ids.(0) "total");
+  (db, ids)
+
 (* Diamond ladder of depth d: t_i depends on m1_i and m2_i, both of which
    depend on t_{i+1}.  A naive eager trigger fires the subtree below each
    diamond twice -> 2^d rule executions; the two-phase algorithm touches
@@ -59,6 +67,17 @@ let diamond_ladder db d =
   let top = build d bottom in
   (top, bottom)
 
+(* A diamond ladder with [top]'s total watched and evaluated, then
+   evaluated again under [strategy].  Returns (db, top, bottom). *)
+let watched_ladder strategy d =
+  let db = make_db () in
+  let top, bottom = diamond_ladder db d in
+  Db.watch db top "total";
+  ignore (Db.get db top "total");
+  Engine.set_strategy (Db.engine db) strategy;
+  ignore (Db.get db top "total");
+  (db, top, bottom)
+
 (* Star: [fan] nodes each depending on one hub.  A hub change affects
    every point; laziness means only watched points are re-evaluated. *)
 let star db fan =
@@ -66,23 +85,6 @@ let star db fan =
   let points = Array.init fan (fun _ -> Db.create_instance db "node") in
   Array.iter (fun p -> Db.link db ~from_id:p ~rel:"deps" ~to_id:hub) points;
   (hub, points)
-
-(* Balanced tree of the given depth/fanout; parents depend on children.
-   Returns (root, leaves). *)
-let tree db ~depth ~fanout =
-  let leaves = ref [] in
-  let rec build d =
-    let id = Db.create_instance db "node" in
-    if d = 0 then leaves := id :: !leaves
-    else
-      for _ = 1 to fanout do
-        let child = build (d - 1) in
-        Db.link db ~from_id:id ~rel:"deps" ~to_id:child
-      done;
-    id
-  in
-  let root = build depth in
-  (root, Array.of_list !leaves)
 
 (* Random DAG over n nodes: node i may depend on up to [max_deps] nodes
    with larger index (no cycles).  Returns the id array. *)
@@ -127,6 +129,61 @@ let inverted_comb db ~chains ~length =
         ids.(0))
   in
   (shared, heads)
+
+(* ------------------------------------------------------------------ *)
+(* Plan-edit workload (E13, E18): the paper's milestone manager under a
+   stream of slips and dashboard queries.                              *)
+
+module M = Cactis_apps.Milestone
+
+type plan = { m : M.t; rng : Rng.t; ship : int; milestones : int array }
+
+(* Layered DAG of [layers] x [width] milestones under one "ship"
+   milestone that depends on the whole first layer; each node of a
+   layer depends on 1-2 nodes of the layer below it.  The ship date is
+   evaluated once, so the edits start from an up-to-date plan. *)
+let plan ~strategy ~layers ~width =
+  let m = M.create ~strategy () in
+  let rng = Rng.create 17 in
+  let prev = ref [] in
+  let ship = M.add m ~name:"ship" ~scheduled:(float_of_int (10 * layers)) ~local_work:1.0 in
+  for l = 1 to layers do
+    let layer =
+      List.init width (fun i ->
+          M.add m
+            ~name:(Printf.sprintf "t%d_%d" l i)
+            ~scheduled:(float_of_int (10 * (layers - l)))
+            ~local_work:(1.0 +. Rng.float rng 3.0))
+    in
+    (match !prev with
+    | [] -> List.iter (fun id -> M.depends_on m ship id) layer
+    | above ->
+      List.iter
+        (fun upper ->
+          let deps = 1 + Rng.int rng 2 in
+          for _ = 1 to deps do
+            let lower = Rng.pick_list rng layer in
+            if not (List.mem lower (Db.related (M.db m) upper "depends_on")) then
+              M.depends_on m upper lower
+          done)
+        above);
+    prev := layer
+  done;
+  ignore (M.expected m ship);
+  { m; rng; ship; milestones = Array.of_list (Db.instances_of_type (M.db m) "milestone") }
+
+let plan_victim p = p.milestones.(Rng.int p.rng (Array.length p.milestones))
+
+(* [rounds] edit rounds: a slip somewhere in the plan, the dashboard
+   polling the ship date, and every tenth round the full report. *)
+let plan_edits p ~rounds =
+  for round = 1 to rounds do
+    let victim = plan_victim p in
+    M.slip p.m victim (Rng.float p.rng 2.0);
+    ignore (M.expected p.m p.ship);
+    ignore (M.is_late p.m p.ship);
+    if round mod 10 = 0 then ignore (M.report p.m)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Persistence workloads (E14)                                         *)

@@ -236,19 +236,6 @@ let pp_duration s =
   else if s >= 1e-3 then Printf.sprintf "%.3fms" (s *. 1e3)
   else Printf.sprintf "%.1fus" (s *. 1e6)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let profile_json (s : Profile.snapshot) =
   Printf.sprintf
     "{\"nodes_marked\":%d,\"edges_walked\":%d,\"cutoffs\":%d,\"evals\":%d,\
@@ -261,7 +248,7 @@ let hist_json (st : Histogram.stats) =
   Printf.sprintf
     "{\"name\":\"%s\",\"count\":%d,\"sum_s\":%.6f,\"mean_us\":%.2f,\"p50_us\":%.2f,\
      \"p95_us\":%.2f,\"p99_us\":%.2f,\"max_us\":%.2f}"
-    (json_escape st.Histogram.st_name)
+    (Flight.json_escape st.Histogram.st_name)
     st.Histogram.st_count st.Histogram.st_sum (st.Histogram.st_mean *. 1e6)
     (st.Histogram.st_p50 *. 1e6) (st.Histogram.st_p95 *. 1e6) (st.Histogram.st_p99 *. 1e6)
     (st.Histogram.st_max *. 1e6)
@@ -277,7 +264,7 @@ let remote_stats port watch interval json =
     if json then begin
       let counters_j =
         counters
-        |> List.map (fun (n, v) -> Printf.sprintf "\"%s\":%d" (json_escape n) v)
+        |> List.map (fun (n, v) -> Printf.sprintf "\"%s\":%d" (Flight.json_escape n) v)
         |> String.concat ","
       in
       let lat_j =
@@ -286,7 +273,7 @@ let remote_stats port watch interval json =
                Printf.sprintf
                  "{\"name\":\"%s\",\"count\":%d,\"mean_us\":%.2f,\"p50_us\":%.2f,\
                   \"p95_us\":%.2f,\"p99_us\":%.2f,\"max_us\":%.2f}"
-                 (json_escape l.l_name) l.l_count (l.l_mean *. 1e6) (l.l_p50 *. 1e6)
+                 (Flight.json_escape l.l_name) l.l_count (l.l_mean *. 1e6) (l.l_p50 *. 1e6)
                  (l.l_p95 *. 1e6) (l.l_p99 *. 1e6) (l.l_max *. 1e6))
         |> String.concat ","
       in
@@ -378,7 +365,7 @@ let stats_cmd connect watch interval schema_path script_path persist json show_o
       if json then begin
         let counters_j =
           counters
-          |> List.map (fun (n, v) -> Printf.sprintf "\"%s\":%d" (json_escape n) v)
+          |> List.map (fun (n, v) -> Printf.sprintf "\"%s\":%d" (Flight.json_escape n) v)
           |> String.concat ","
         in
         let hists_j = hists |> List.map hist_json |> String.concat "," in
@@ -662,7 +649,7 @@ let lint_cmd paths apps json strict fix dry_run =
       let any_failing = List.exists (fun (_, ds) -> List.exists failing ds) reports in
       if json then begin
         let file_json (name, ds) =
-          Printf.sprintf "{\"file\":\"%s\",\"diagnostics\":%s}" (json_escape name)
+          Printf.sprintf "{\"file\":\"%s\",\"diagnostics\":%s}" (Flight.json_escape name)
             (Analyze.to_json ds)
         in
         Printf.printf "[%s]\n" (String.concat "," (List.map file_json reports))
@@ -688,7 +675,7 @@ let analyze_cmd path db_dir json =
       let diags = List.stable_sort Diag.compare (Analyze.analyze_schema sch) in
       let finish cost hot =
         if json then
-          Printf.printf "{\"file\":\"%s\",\"diagnostics\":%s,\"cost\":%s}\n" (json_escape path)
+          Printf.printf "{\"file\":\"%s\",\"diagnostics\":%s,\"cost\":%s}\n" (Flight.json_escape path)
             (Analyze.to_json diags) (Cost.to_json cost)
         else begin
           (match Analyze.render diags with

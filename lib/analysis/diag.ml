@@ -73,20 +73,7 @@ let to_string d =
   | None -> ());
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let jstr s = Printf.sprintf "\"%s\"" (json_escape s)
+let jstr s = Printf.sprintf "\"%s\"" (Cactis_obs.Flight.json_escape s)
 
 let to_json d =
   let witness =

@@ -6,7 +6,23 @@ type child = {
   mutable c_status : Unix.process_status option;
 }
 
+type fields = (string * string) list
+
 let pid c = c.c_pid
+
+(* Children not yet reaped.  If the parent dies half-way (a failed
+   read, a failed check), [at_exit] kills and reaps them, so no server
+   outlives its parent holding a port and domains. *)
+let live : (int, unit) Hashtbl.t = Hashtbl.create 8
+
+let () =
+  at_exit (fun () ->
+      Hashtbl.iter
+        (fun pid () ->
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+        live;
+      Hashtbl.reset live)
 
 let spawn ~args =
   let r, w = Unix.pipe ~cloexec:false () in
@@ -15,6 +31,7 @@ let spawn ~args =
   let child_pid = Unix.create_process Sys.executable_name argv null w Unix.stderr in
   Unix.close w;
   Unix.close null;
+  Hashtbl.replace live child_pid ();
   { c_pid = child_pid; c_fd = r; c_buf = Buffer.create 256; c_eof = false; c_status = None }
 
 let rec restart f = try f () with Unix.Unix_error (Unix.EINTR, _, _) -> restart f
@@ -65,6 +82,7 @@ let reap c =
   | None ->
     let _, st = restart (fun () -> Unix.waitpid [] c.c_pid) in
     c.c_status <- Some st;
+    Hashtbl.remove live c.c_pid;
     (try Unix.close c.c_fd with _ -> ());
     st
 
@@ -93,3 +111,49 @@ let kv line =
              Some (String.sub tok 0 i, String.sub tok (i + 1) (String.length tok - i - 1))
            | None -> None)
          rest
+
+let tag_of l = Option.value (List.assoc_opt "_tag" l) ~default:""
+
+let field l k =
+  match List.assoc_opt k l with
+  | Some v -> v
+  | None -> failwith (Printf.sprintf "child line %s lacks %s" (tag_of l) k)
+
+let until ?(timeout_s = 120.0) c tag =
+  let rec go () =
+    match read_line ~timeout_s c with
+    | None -> failwith (Printf.sprintf "child %d exited before %s" c.c_pid tag)
+    | Some line ->
+      let l = kv line in
+      if tag_of l = tag then l else go ()
+  in
+  go ()
+
+let checked c (lines, status) =
+  (match status with
+  | Unix.WEXITED 0 -> ()
+  | Unix.WEXITED n -> failwith (Printf.sprintf "child %d exited %d" c.c_pid n)
+  | Unix.WSIGNALED n | Unix.WSTOPPED n ->
+    failwith (Printf.sprintf "child %d killed by signal %d" c.c_pid n));
+  List.map kv lines
+
+let finish c = checked c (wait c)
+let stop c = checked c (terminate c)
+
+let reply c tag =
+  let l = until c tag in
+  ignore (finish c);
+  l
+
+let tagged tag lines =
+  List.concat_map
+    (fun l -> if tag_of l = tag then List.remove_assoc "_tag" l else [])
+    lines
+
+let trap_sigterm () =
+  let stop = Atomic.make false in
+  Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> Atomic.set stop true));
+  fun () ->
+    while not (Atomic.get stop) do
+      try Unix.sleepf 0.05 with Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    done

@@ -1,7 +1,9 @@
 (* The TCP serving layer: frame robustness (partial reads, torn frames,
    oversized headers), QCheck protocol roundtrips, and an in-process
    end-to-end server exercising every verb, read-your-writes,
-   multi-domain clients and the WAL chain. *)
+   multi-domain clients and the WAL chain.  Also the load drivers'
+   child-process protocol ([Load]), against children that are this
+   test binary re-executed in a [load-child] role. *)
 
 module Value = Cactis.Value
 module Db = Cactis.Db
@@ -12,8 +14,78 @@ module Frame = Cactis_net.Frame
 module Proto = Cactis_net.Proto
 module Server = Cactis_net.Server
 module Client = Cactis_net.Client
+module Load = Cactis_net.Load
 
 let int n = Value.Int n
+
+(* ---- Load: the child-process protocol ---- *)
+
+(* Child roles, dispatched before Alcotest parses argv. *)
+let load_child = function
+  | "lines" ->
+    (* Two tagged lines, then an unterminated last line at EOF. *)
+    print_string "RESULT a=1 bare b=x=y\nSTAT s.n=2\nSTAT s.m=3\ntail k=v";
+    exit 0
+  | "serve" ->
+    (* Silent until SIGTERM, which it traps to exit cleanly. *)
+    let await_stop = Load.trap_sigterm () in
+    print_endline "READY";
+    await_stop ();
+    exit 0
+  | "orphaner" ->
+    (* Spawns a server grandchild, reports its pid, then fails without
+       stopping it: Load's at-exit hook must kill and reap it. *)
+    let g = Load.spawn ~args:[ "load-child"; "serve" ] in
+    ignore (Load.until g "READY");
+    Printf.printf "PID pid=%d\n%!" (Load.pid g);
+    failwith "orphaner fails mid-run"
+  | role -> failwith ("unknown load-child role " ^ role)
+
+let test_load_kv () =
+  Alcotest.(check (list (pair string string)))
+    "tag, pairs, bare token dropped"
+    [ ("_tag", "RESULT"); ("a", "1"); ("b", "x=y") ]
+    (Load.kv "RESULT a=1 bare b=x=y");
+  let c = Load.spawn ~args:[ "load-child"; "lines" ] in
+  let lines = Load.finish c in
+  Alcotest.(check int) "four lines, the last unterminated" 4 (List.length lines);
+  Alcotest.(check (list (pair string string)))
+    "unterminated last line still parsed" [ ("_tag", "tail"); ("k", "v") ]
+    (List.nth lines 3);
+  Alcotest.(check (list (pair string string)))
+    "STAT lines merged" [ ("s.n", "2"); ("s.m", "3") ] (Load.tagged "STAT" lines);
+  Alcotest.(check string) "field" "x=y" (Load.field (List.hd lines) "b");
+  Alcotest.check_raises "missing field names the tag" (Failure "child line RESULT lacks zz")
+    (fun () -> ignore (Load.field (List.hd lines) "zz"))
+
+let test_load_timeout_and_terminate () =
+  let c = Load.spawn ~args:[ "load-child"; "serve" ] in
+  ignore (Load.until c "READY");
+  (match Load.read_line ~timeout_s:0.2 c with
+  | _ -> Alcotest.fail "a silent child must time out"
+  | exception Failure _ -> ());
+  let lines, status = Load.terminate c in
+  Alcotest.(check (list string)) "no output" [] lines;
+  Alcotest.(check bool) "SIGTERM gives a clean exit 0" true (status = Unix.WEXITED 0)
+
+let test_load_until_child_exits_first () =
+  let c = Load.spawn ~args:[ "load-child"; "lines" ] in
+  (match Load.until c "DONE" with
+  | _ -> Alcotest.fail "DONE never comes"
+  | exception Failure msg ->
+    Alcotest.(check string) "names the tag" (Printf.sprintf "child %d exited before DONE" (Load.pid c)) msg);
+  Alcotest.(check int) "reaped after" 0 (List.length (Load.finish c))
+
+let test_load_reaps_at_exit () =
+  let c = Load.spawn ~args:[ "load-child"; "orphaner" ] in
+  let grandchild = int_of_string (Load.field (Load.until c "PID") "pid") in
+  let _, status = Load.wait c in
+  Alcotest.(check bool) "the failing child exits 2" true (status = Unix.WEXITED 2);
+  match Unix.kill grandchild 0 with
+  | () ->
+    (try Unix.kill grandchild Sys.sigkill with Unix.Unix_error _ -> ());
+    Alcotest.fail "the grandchild outlived its failed parent"
+  | exception Unix.Unix_error (Unix.ESRCH, _, _) -> ()
 
 (* ---- Frames ---- *)
 
@@ -749,8 +821,16 @@ let test_wal_chain_survives_restart () =
   Sys.rmdir dir
 
 let () =
+  (match Array.to_list Sys.argv with _ :: "load-child" :: role :: _ -> load_child role | _ -> ());
   Alcotest.run "cactis-net"
     [
+      ( "load",
+        [
+          Alcotest.test_case "kv and lines" `Quick test_load_kv;
+          Alcotest.test_case "read_line timeout, terminate" `Quick test_load_timeout_and_terminate;
+          Alcotest.test_case "until: child exits first" `Quick test_load_until_child_exits_first;
+          Alcotest.test_case "children reaped at exit" `Quick test_load_reaps_at_exit;
+        ] );
       ( "frame",
         [
           Alcotest.test_case "roundtrip" `Quick test_frame_roundtrip;
