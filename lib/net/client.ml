@@ -9,13 +9,7 @@ exception Remote of { code : Proto.error_code; message : string }
 exception Transport of string
 
 let connect ?(host = "127.0.0.1") ~port () =
-  let addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port) in
-  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try Unix.connect fd addr
-   with e ->
-     (try Unix.close fd with _ -> ());
-     raise e);
-  { fd; next_id = 1; watermark = 0; open_ = true }
+  { fd = Frame.connect ~host ~port; next_id = 1; watermark = 0; open_ = true }
 
 let close t =
   if t.open_ then begin

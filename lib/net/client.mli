@@ -17,7 +17,8 @@ exception Remote of { code : Proto.error_code; message : string }
 (** The stream broke or a response did not match its request. *)
 exception Transport of string
 
-(** [connect ~port ()] dials loopback (or [host]). *)
+(** [connect ~port ()] dials loopback (or [host], an address or a name)
+    through {!Frame.connect}. *)
 val connect : ?host:string -> port:int -> unit -> t
 
 val close : t -> unit

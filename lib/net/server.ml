@@ -41,12 +41,10 @@ let config ?(port = 0) ?(readers = 1) ?metrics_port ?(slow_ms = 100.0) ?slowlog_
     cfg_read_only = read_only;
   }
 
-(* Pending-connection queue of the listen socket. *)
-let listen_backlog = 64
-
-(* A connection is read only by the front end; responses are written by
-   whichever domain served the request, serialized per connection by
-   [out_mu] so frames never interleave. *)
+(* A connection is read and closed only by the front end; responses are
+   written by whichever domain served the request, serialized per
+   connection by [out_mu].  A reply that fails or stalls clears [alive]
+   and shuts the socket down, so the front end sees it and closes it. *)
 type conn = {
   fd : Unix.file_descr;
   dec : Frame.decoder;
@@ -121,6 +119,7 @@ type t = {
   names_mu : Mutex.t;
   mutable domain_names : (int * string) list;  (* domain id -> server role *)
   mutable domains : unit Domain.t list;
+  mutable unhook : unit -> unit;  (* puts back the commit hook [start] chained after *)
 }
 
 let port t = t.bound_port
@@ -171,7 +170,9 @@ let send_resp ?(version = 0) ?(pager = (0, 0)) t conn env resp ~verb ~start_ns =
   | _ -> ());
   Mutex.lock conn.out_mu;
   (try if conn.alive then Frame.send conn.fd payload
-   with _ -> conn.alive <- false);
+   with _ ->
+     conn.alive <- false;
+     try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
   Mutex.unlock conn.out_mu;
   match resp with
   | Proto.Error { code; _ } ->
@@ -236,15 +237,6 @@ let publish t record =
   v
 
 let writer_loop t db =
-  (* Chain the publish after whatever durability hook (the WAL) is
-     already installed; runs on this domain, during commit, so it always
-     precedes the client's Committed response. *)
-  let prior = Db.commit_hook db in
-  Db.set_commit_hook db
-    (Some
-       (fun delta ->
-         (match prior with Some f -> f delta | None -> ());
-         ignore (publish t (Codec.encode_delta delta))));
   let rec loop () =
     match pop t.writer_q with
     | W_quit -> ()
@@ -331,8 +323,9 @@ let reader_serve t ~name r { j_conn; j_env; j_req; j_start_ns } =
    is lazy (reads never watch, so an apply only marks and checks
    constraints) and memory-resident (its pool never evicts).  One that
    fails to load or apply keeps its domain alive, answering every later
-   job with a typed E_server error instead of leaving it waiting. *)
-let reader_loop t name master_snapshot make_schema q =
+   job with a typed E_server error instead of leaving it waiting.  It
+   pushes to [loaded] once the load is done either way. *)
+let reader_loop t name master_snapshot make_schema ~loaded q =
   let failure ~version e =
     Counters.incr t.ctrs "server.replica_failures";
     let message =
@@ -349,6 +342,7 @@ let reader_loop t name master_snapshot make_schema q =
               (Snapshot.load_binary ~buffer_capacity:max_int (make_schema ()) master_snapshot))
        with e -> failure ~version:0 e)
   in
+  push loaded ();
   let apply_h = Histogram.cell t.lats "replica.apply" in
   let rec loop () =
     match pop q with
@@ -363,6 +357,9 @@ let reader_loop t name master_snapshot make_schema q =
         | Replica.Skipped -> ()
         | exception ex -> state := failure ~version:e.Replica.e_seq ex));
       loop ()
+    | R_serve job when not job.j_conn.alive ->
+      (* Its peer stalled or left: whatever it pipelined is not served. *)
+      loop ()
     | R_serve job ->
       (match !state with
       | Ok r -> reader_serve t ~name r job
@@ -376,20 +373,16 @@ let reader_loop t name master_snapshot make_schema q =
 
 (* ---- Front end ---- *)
 
-(* Closing takes the same mutex responses are written under, so a
-   worker mid-reply either finishes its frame first or sees [alive =
-   false] — the fd is never closed (and possibly reused) under a
-   concurrent write. *)
-let kill_conn conn =
-  Mutex.lock conn.out_mu;
-  if conn.alive then begin
-    conn.alive <- false;
-    (try Unix.close conn.fd with _ -> ())
-  end;
-  Mutex.unlock conn.out_mu
-
+(* Only the front end closes a connection: its [select] would fail with
+   EBADF on an fd closed under it.  Closing takes the mutex replies are
+   written under, so a worker mid-reply finishes its frame first and any
+   later one sees [alive = false] — the fd is never closed (and possibly
+   reused) under a concurrent write. *)
 let close_conn conns conn =
-  kill_conn conn;
+  Mutex.lock conn.out_mu;
+  conn.alive <- false;
+  (try Unix.close conn.fd with Unix.Unix_error _ -> ());
+  Mutex.unlock conn.out_mu;
   Hashtbl.remove conns conn.fd
 
 let stats_reply t =
@@ -461,64 +454,44 @@ let dispatch t conn payload =
           ~verb:(Proto.verb_name req) ~start_ns
       else push t.reader_qs.(Partition.site_of_range t.partition id) (R_serve job))
 
-(* One-shot plain-HTTP scrape endpoint: accept, answer [GET /metrics]
-   (anything else gets 404), close.  Blocking is fine — the body is
-   built from in-memory snapshots and the peer is a scraper on
-   loopback; a stalled scraper delays the front end at most one
-   request, never the serving domains. *)
-let handle_metrics_conn t mfd =
-  match Unix.accept ~cloexec:true mfd with
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-  | exception _ -> ()
-  | client_fd, _ ->
-    Counters.incr t.ctrs "server.metrics_scrapes";
-    (try
-       let buf = Bytes.create 4096 in
-       let n = Unix.read client_fd buf 0 (Bytes.length buf) in
-       let req = Bytes.sub_string buf 0 (max n 0) in
-       let line = match String.index_opt req '\r' with
-         | Some i -> String.sub req 0 i
-         | None -> (match String.index_opt req '\n' with
-           | Some i -> String.sub req 0 i
-           | None -> req)
-       in
-       let response =
-         if line = "GET /metrics HTTP/1.1" || line = "GET /metrics HTTP/1.0" then
-           let body = metrics_body t in
-           Printf.sprintf
-             "HTTP/1.0 200 OK\r\n\
-              Content-Type: application/openmetrics-text; version=1.0.0; charset=utf-8\r\n\
-              Content-Length: %d\r\n\r\n%s"
-             (String.length body) body
-         else "HTTP/1.0 404 Not Found\r\nContent-Length: 0\r\n\r\n"
-       in
-       let rec write_all off len =
-         if len > 0 then begin
-           let w = Unix.write_substring client_fd response off len in
-           write_all (off + w) (len - w)
-         end
-       in
-       write_all 0 (String.length response)
-     with _ -> ());
-    (try Unix.close client_fd with _ -> ())
+(* One-shot plain-HTTP scrape endpoint: once the front end's [select]
+   finds an accepted socket readable, answer [GET /metrics] (anything
+   else gets 404) with one deadlined write, and close.  An idle scraper
+   costs nothing, a stalled one at most one send deadline. *)
+let answer_scrape t fd =
+  let buf = Bytes.create 4096 in
+  let n = try Unix.read fd buf 0 (Bytes.length buf) with Unix.Unix_error _ -> 0 in
+  let line = String.trim (List.hd (String.split_on_char '\n' (Bytes.sub_string buf 0 n))) in
+  let response =
+    if line = "GET /metrics HTTP/1.1" || line = "GET /metrics HTTP/1.0" then
+      let body = metrics_body t in
+      Printf.sprintf
+        "HTTP/1.0 200 OK\r\n\
+         Content-Type: application/openmetrics-text; version=1.0.0; charset=utf-8\r\n\
+         Content-Length: %d\r\n\r\n%s"
+        (String.length body) body
+    else "HTTP/1.0 404 Not Found\r\nContent-Length: 0\r\n\r\n"
+  in
+  (try Frame.write_all fd response with _ -> ());
+  try Unix.close fd with Unix.Unix_error _ -> ()
 
 let frontend_loop t =
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 16 in
-  let buf = Bytes.create 65536 in
+  let scrapes = ref [] in
   let handle_readable conn =
-    match Unix.read conn.fd buf 0 (Bytes.length buf) with
+    match Frame.fill conn.dec conn.fd with
     | 0 -> close_conn conns conn
-    | n -> (
-      Frame.feed conn.dec (Bytes.sub_string buf 0 n);
+    | _ -> (
       try
         let rec drain () =
           match Frame.next conn.dec with
-          | Some payload ->
+          | Some payload when conn.alive ->
             dispatch t conn payload;
             drain ()
-          | None -> ()
+          | _ -> ()
         in
-        drain ()
+        drain ();
+        if not conn.alive then close_conn conns conn
       with Frame.Too_large len ->
         send_resp t conn { Proto.req_id = 0; span_id = 0 }
           (Proto.Error
@@ -531,20 +504,17 @@ let frontend_loop t =
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
     | exception _ -> close_conn conns conn
   in
-  let base_fds =
-    match t.metrics_fd with Some m -> [ t.listen_fd; m ] | None -> [ t.listen_fd ]
-  in
+  let base_fds = t.listen_fd :: Option.to_list t.metrics_fd in
   while not (Atomic.get t.stop_flag) do
-    let fds = Hashtbl.fold (fun fd _ acc -> fd :: acc) conns base_fds in
+    let fds = Hashtbl.fold (fun fd _ acc -> fd :: acc) conns (!scrapes @ base_fds) in
     (match Unix.select fds [] [] 0.2 with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | readable, _, _ ->
       List.iter
         (fun fd ->
           if fd = t.listen_fd then begin
-            match Unix.accept ~cloexec:true t.listen_fd with
-            | client_fd, _ ->
-              Unix.set_nonblock client_fd;
+            match Frame.accept t.listen_fd with
+            | Some client_fd ->
               Counters.incr t.ctrs "server.connections";
               Hashtbl.replace conns client_fd
                 {
@@ -554,11 +524,19 @@ let frontend_loop t =
                   alive = true;
                 };
               Flight.record Flight.Net_accept ~a:(Hashtbl.length conns) ~b:0
-            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-              -> ()
-            | exception _ -> ()
+            | None -> ()
           end
-          else if Some fd = t.metrics_fd then handle_metrics_conn t fd
+          else if Some fd = t.metrics_fd then begin
+            match Frame.accept fd with
+            | Some sfd ->
+              Counters.incr t.ctrs "server.metrics_scrapes";
+              scrapes := sfd :: !scrapes
+            | None -> ()
+          end
+          else if List.mem fd !scrapes then begin
+            scrapes := List.filter (( <> ) fd) !scrapes;
+            answer_scrape t fd
+          end
           else
             match Hashtbl.find_opt conns fd with
             | Some conn -> handle_readable conn
@@ -569,7 +547,8 @@ let frontend_loop t =
        queries. *)
     match t.watchdog with Some wd -> Watchdog.tick wd | None -> ()
   done;
-  Hashtbl.iter (fun _ conn -> kill_conn conn) conns
+  List.iter (close_conn conns) (List.of_seq (Hashtbl.to_seq_values conns));
+  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !scrapes
 
 (* ---- Lifecycle ---- *)
 
@@ -606,33 +585,14 @@ let run_domain t name f =
     Printexc.raise_with_backtrace e bt
 
 let start ?(config = config ()) ~make_schema db =
-  (* A client that disconnects mid-reply must surface as EPIPE on the
-     write (handled per connection), not as a process-killing SIGPIPE. *)
-  if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let master_snapshot = Snapshot.save_binary db in
-  let listen_fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
-  Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_loopback, config.cfg_port));
-  Unix.listen listen_fd listen_backlog;
-  Unix.set_nonblock listen_fd;
-  let bound_port =
-    match Unix.getsockname listen_fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> assert false
-  in
+  let listen_fd, bound_port = Frame.listen ~port:config.cfg_port in
   let metrics_fd, bound_metrics_port =
     match config.cfg_metrics_port with
     | None -> (None, None)
-    | Some p ->
-      let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, p));
-      Unix.listen fd 8;
-      Unix.set_nonblock fd;
-      let bp =
-        match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> p | _ -> assert false
-      in
-      (Some fd, Some bp)
+    | Some port ->
+      let fd, bound = Frame.listen ~port in
+      (Some fd, Some bound)
   in
   let slowlog =
     if config.cfg_slow_ms <= 0.0 then None
@@ -676,6 +636,7 @@ let start ?(config = config ()) ~make_schema db =
       names_mu = Mutex.create ();
       domain_names = [];
       domains = [];
+      unhook = ignore;
     }
   in
   (match config.cfg_watchdog with
@@ -696,15 +657,34 @@ let start ?(config = config ()) ~make_schema db =
         (match dumped with Some p -> " flight=" ^ p | None -> "")
     in
     t.watchdog <- Some (Watchdog.create wd_cfg ~lats:t.lats ~errors ~on_trip));
+  (* Chain the publish after whatever durability hook (the WAL) is
+     already installed; it runs on the writer domain, during commit, so it
+     always precedes the client's Committed response. *)
+  let prior = Db.commit_hook db in
+  let ours delta =
+    (match prior with Some f -> f delta | None -> ());
+    ignore (publish t (Codec.encode_delta delta))
+  in
+  Db.set_commit_hook db (Some ours);
+  t.unhook <-
+    (fun () ->
+      match Db.commit_hook db with
+      | Some f when f == ours -> Db.set_commit_hook db prior
+      | _ -> ());
+  let loaded = queue () in
   let reader_domains =
     Array.to_list
       (Array.mapi
          (fun i q ->
            let name = Printf.sprintf "reader-%d" i in
            Domain.spawn (fun () ->
-               run_domain t name (fun () -> reader_loop t name master_snapshot make_schema q)))
+               run_domain t name (fun () ->
+                   reader_loop t name master_snapshot make_schema ~loaded q)))
          t.reader_qs)
   in
+  (* Serve nothing before every replica is loaded (or has failed with
+     its typed error): the first read must not pay for a load. *)
+  Array.iter (fun _ -> pop loaded) t.reader_qs;
   let writer_domain =
     Domain.spawn (fun () -> run_domain t "writer" (fun () -> writer_loop t db))
   in
@@ -736,8 +716,8 @@ let stop t =
     push t.writer_q W_quit;
     Array.iter (fun q -> push q R_quit) t.reader_qs;
     List.iter Domain.join t.domains;
-    (try Unix.close t.listen_fd with _ -> ());
-    match t.metrics_fd with
-    | Some fd -> ( try Unix.close fd with _ -> ())
-    | None -> ()
+    t.unhook ();
+    List.iter
+      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (t.listen_fd :: Option.to_list t.metrics_fd)
   end

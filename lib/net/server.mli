@@ -38,10 +38,14 @@
       instead of leaving read-your-writes clients waiting forever;
     - {b a front-end event loop} (its own domain) accepts TCP
       connections on loopback, decodes frames incrementally, answers
-      [Ping]/[Stats] inline, and routes everything else: commits to the
-      writer, reads to the reader whose {!Cactis_dist.Partition}
-      id-range contains the target instance (affinity routing — every
-      replica is complete, the range only decides who serves whom).
+      [Ping]/[Stats]/[Metrics] inline, and routes everything else:
+      commits to the writer, reads to the reader whose
+      {!Cactis_dist.Partition} id-range contains the target instance
+      (affinity routing — every replica is complete, the range only
+      decides who serves whom).  Every reply is one {!Frame.send}: a
+      client that stops reading its replies is dropped after
+      {!Frame.send_deadline_s}, and costs the domain replying to it no
+      more than that.
 
     Observability is always on: per-verb request counters and latency
     histograms (domain-safe registries, merged on read) and the
@@ -90,7 +94,9 @@ val config :
 type t
 
 (** [start ?config ~make_schema db] snapshots [db], spawns the domains
-    and begins accepting connections.  [make_schema] must build a fresh
+    and begins accepting connections.  It returns once every reader has
+    loaded its replica, or failed to with its typed error, so no request
+    waits for a load.  [make_schema] must build a fresh
     schema equivalent to [db]'s (schemas are mutable and cannot be
     shared across domains; each replica loads the snapshot against its
     own).  After [start] the caller must not touch [db] again — it
@@ -137,6 +143,7 @@ val watchdog : t -> Cactis_obs.Watchdog.t option
     write failed).  The CLI wires SIGQUIT/SIGUSR2 to this. *)
 val dump_flight : t -> reason:string -> string option
 
-(** Stop accepting, drain the domains, close every socket.
-    Idempotent. *)
+(** Stop accepting, drain the domains, close every socket, and put
+    back the commit hook [start] chained after (unless another layer
+    has since wrapped it).  Idempotent. *)
 val stop : t -> unit

@@ -95,34 +95,31 @@ let observe t name v =
       Histogram.observe_named (Db.obs db).Cactis_obs.Ctx.hists name v)
 
 let close_fd t =
-  (match t.fd with
-  | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-  | None -> ());
+  Option.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) t.fd;
   t.fd <- None
 
 let stop t =
   if not (Atomic.exchange t.stop_flag true) then
     (* Shut the socket down so a blocked recv wakes immediately;
        closing is left to the streaming thread, which owns the fd. *)
-    match t.fd with
-    | Some fd -> ( try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-    | None -> ()
+    Option.iter (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()) t.fd
 
-let resolve host =
-  try Unix.inet_addr_of_string host
-  with Failure _ -> (
-    try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    with Not_found -> raise (Repl_error.Transport (Printf.sprintf "cannot resolve %s" host)))
+let transport e = Repl_error.Transport (Unix.error_message e)
+
+let send fd msg =
+  try Frame.send fd (P.encode_client msg) with Unix.Unix_error (e, _, _) -> raise (transport e)
 
 let connect t =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.connect fd (Unix.ADDR_INET (resolve t.host, t.tport));
-     (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-     Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.cfg.f_heartbeat_timeout_s
+  let fd =
+    try Frame.connect ~host:t.host ~port:t.tport with
+    | Unix.Unix_error (Unix.ENOENT, _, _) ->
+      raise (Repl_error.Transport (Printf.sprintf "cannot resolve %s" t.host))
+    | Unix.Unix_error (e, _, _) -> raise (transport e)
+  in
+  (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.cfg.f_heartbeat_timeout_s
    with Unix.Unix_error (e, _, _) ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     raise (Repl_error.Transport (Unix.error_message e)));
+     Unix.close fd;
+     raise (transport e));
   t.fd <- Some fd;
   t.dec <- Frame.decoder ();
   t.conn_started <- Unix.gettimeofday ();
@@ -130,14 +127,10 @@ let connect t =
   t.caught_up <- false;
   t.snap <- None;
   let schema_version = match t.db with Some db -> Db.schema_step_count db | None -> 0 in
-  (try Frame.send fd (P.encode_client (P.Hello { cursor = cursor t; schema_version }))
-   with Unix.Unix_error (e, _, _) -> raise (Repl_error.Transport (Unix.error_message e)));
+  send fd (P.Hello { cursor = cursor t; schema_version });
   fd
 
-let send_ack t fd ~lag_us =
-  try
-    Frame.send fd (P.encode_client (P.Ack { seq = applied_seq t; cursor = cursor t; lag_us }))
-  with Unix.Unix_error (e, _, _) -> raise (Repl_error.Transport (Unix.error_message e))
+let send_ack t fd ~lag_us = send fd (P.Ack { seq = applied_seq t; cursor = cursor t; lag_us })
 
 (* The replica's apply closure indirects through [apply_override] so
    {!set_apply} takes effect without rebuilding the replica (and with
@@ -261,23 +254,21 @@ let handle_msg t fd msg =
    (e.g. a corrupted length header inflating the expected size). *)
 let recv_msg t fd =
   let deadline = Unix.gettimeofday () +. (3.0 *. t.cfg.f_heartbeat_timeout_s) in
-  let buf = Bytes.create 65536 in
   let rec go () =
     match Frame.next t.dec with
     | Some frame -> P.decode_server frame
     | None ->
       if Frame.buffered t.dec > 0 && Unix.gettimeofday () > deadline then
         raise (Repl_error.Transport "frame assembly timed out");
-      (match Unix.read fd buf 0 (Bytes.length buf) with
+      (match Frame.fill t.dec fd with
       | 0 ->
         if Frame.buffered t.dec > 0 then raise (Repl_error.Transport "stream truncated")
         else raise (Repl_error.Transport "connection closed by writer")
-      | n -> Frame.feed t.dec (Bytes.sub_string buf 0 n)
+      | _ -> ()
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         raise (Repl_error.Transport "heartbeat timeout")
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | exception Unix.Unix_error (e, _, _) ->
-        raise (Repl_error.Transport (Unix.error_message e)));
+      | exception Unix.Unix_error (e, _, _) -> raise (transport e));
       go ()
   in
   try go ()

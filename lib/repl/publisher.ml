@@ -28,12 +28,6 @@ let config ?(port = 0) ?(heartbeat_s = 1.0) () = { cfg_port = port; cfg_heartbea
 (* Backlog items retained before stragglers are evicted. *)
 let max_backlog = 262_144
 
-(* Per-follower send deadline: a consumer stalled longer is dropped. *)
-let send_timeout_s = 5.0
-
-(* Pending-connection queue of the listen socket. *)
-let listen_backlog = 16
-
 (* One shipped stream item.  A record advances the cursor by one WAL
    append; a mark advances it to a checkpoint generation boundary. *)
 type item =
@@ -52,10 +46,8 @@ type pending = { p_cursor : P.cursor; p_record : string }
 type conn = {
   c_fd : Unix.file_descr;
   c_dec : Frame.decoder;
-  c_peer : string;
   mutable c_pos : int;  (* next backlog seq to send; meaningful when streaming *)
   mutable c_streaming : bool;  (* handshake done, receiving the stream *)
-  mutable c_acked : int;
   mutable c_alive : bool;
 }
 
@@ -126,30 +118,14 @@ let blog_drop_below t seq =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Bounded sends.  Frame.send retries EAGAIN with an unbounded select,
-   which would let one stalled follower wedge the whole publisher; this
-   write loop gives every follower a hard deadline instead. *)
+(* Sends.  Follower sockets are non-blocking, so [Frame.send] gives each
+   frame the send deadline: a follower that stops draining is dropped
+   instead of wedging the publisher. *)
 
-let send_timed fd payload =
-  let s = Frame.encode payload in
-  let len = String.length s in
-  let deadline = Unix.gettimeofday () +. send_timeout_s in
-  let off = ref 0 in
-  (try
-     while !off < len do
-       match Unix.write_substring fd s !off (len - !off) with
-       | n -> off := !off + n
-       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-         let remaining = deadline -. Unix.gettimeofday () in
-         if remaining <= 0.0 then raise (Repl_error.Transport "send deadline exceeded");
-         (try ignore (Unix.select [] [fd] [] remaining)
-          with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-         if Unix.gettimeofday () >= deadline then
-           raise (Repl_error.Transport "send deadline exceeded")
-     done
-   with Unix.Unix_error (e, _, _) ->
-     raise (Repl_error.Transport (Unix.error_message e)))
+let send conn msg =
+  try Frame.send conn.c_fd (P.encode_server msg) with
+  | Frame.Stalled _ -> raise (Repl_error.Transport "send deadline exceeded")
+  | Unix.Unix_error (e, _, _) -> raise (Repl_error.Transport (Unix.error_message e))
 
 (* ------------------------------------------------------------------ *)
 (* Queue drain: pending records -> chained backlog items               *)
@@ -206,8 +182,7 @@ let drop_conn t conn =
 
 let refuse t conn ~code ~message =
   Counters.incr t.counters "repl.refusals";
-  (try send_timed conn.c_fd (P.encode_server (P.Refuse { code; message }))
-   with Repl_error.Transport _ -> ());
+  (try send conn (P.Refuse { code; message }) with Repl_error.Transport _ -> ());
   drop_conn t conn
 
 (* Send backlog items [from, upto) as Batch/Mark frames, batches capped
@@ -217,7 +192,7 @@ let send_range t conn ~from ~upto =
   let flush () =
     if !batch <> [] then begin
       let entries = List.rev !batch in
-      send_timed conn.c_fd (P.encode_server (P.Batch { sent_us = now_us (); entries }));
+      send conn (P.Batch { sent_us = now_us (); entries });
       Counters.incr t.counters "repl.ship_batches";
       Counters.add t.counters "repl.ship_records" (List.length entries);
       Counters.add t.counters "repl.ship_bytes" !batch_bytes;
@@ -234,7 +209,7 @@ let send_range t conn ~from ~upto =
       if !batch_bytes >= 1 lsl 20 then flush ()
     | I_mark { i_prev; i_gen } ->
       flush ();
-      send_timed conn.c_fd (P.encode_server (P.Mark { seq; prev = i_prev; generation = i_gen }))
+      send conn (P.Mark { seq; prev = i_prev; generation = i_gen })
   done;
   flush ();
   conn.c_pos <- upto
@@ -260,17 +235,14 @@ let bootstrap t conn =
     conn.c_pos <- t.first_seq;
     conn.c_streaming <- true
   | Some (generation, schema_version, payload) ->
-    send_timed conn.c_fd
-      (P.encode_server
-         (P.Snap_begin { generation; schema_version; size = String.length payload }));
+    send conn (P.Snap_begin { generation; schema_version; size = String.length payload });
     let len = String.length payload in
     let off = ref 0 in
     let sent_any = ref false in
     while (not !sent_any) || !off < len do
       let n = min P.snap_chunk_bytes (len - !off) in
       let last = !off + n >= len in
-      send_timed conn.c_fd
-        (P.encode_server (P.Snap_chunk { last; data = String.sub payload !off n }));
+      send conn (P.Snap_chunk { last; data = String.sub payload !off n });
       off := !off + n;
       sent_any := true
     done;
@@ -305,12 +277,11 @@ let handle_hello t conn (cursor : P.cursor) =
 (* Completing a handshake announces the writer's true head right away:
    a follower resuming a multi-frame backlog (batch / mark / batch)
    must not believe itself synced at the first frame boundary. *)
+let heartbeat_msg t =
+  P.Heartbeat { head_seq = t.next_seq - 1; cursor = t.chain; sent_us = now_us () }
+
 let announce t conn =
-  try
-    send_timed conn.c_fd
-      (P.encode_server
-         (P.Heartbeat { head_seq = t.next_seq - 1; cursor = t.chain; sent_us = now_us () }))
-  with Repl_error.Transport _ -> drop_conn t conn
+  try send conn (heartbeat_msg t) with Repl_error.Transport _ -> drop_conn t conn
 
 let handle_client_frame t conn frame =
   match P.decode_client frame with
@@ -321,18 +292,14 @@ let handle_client_frame t conn frame =
       handle_hello t conn cursor;
       if conn.c_alive && conn.c_streaming then announce t conn
     end
-  | P.Ack { seq; lag_us; _ } ->
-    conn.c_acked <- max conn.c_acked seq;
+  | P.Ack { seq; _ } ->
     Histogram.observe_named t.hists "repl.follower_lag_records"
-      (float_of_int (max 0 (t.next_seq - 1 - seq)));
-    ignore lag_us
+      (float_of_int (max 0 (t.next_seq - 1 - seq)))
 
 let service_conn t conn =
-  let buf = Bytes.create 65536 in
-  match Unix.read conn.c_fd buf 0 (Bytes.length buf) with
+  match Frame.fill conn.c_dec conn.c_fd with
   | 0 -> drop_conn t conn
-  | n -> (
-    Frame.feed conn.c_dec (Bytes.sub_string buf 0 n);
+  | _ -> (
     try
       let rec frames () =
         match Frame.next conn.c_dec with
@@ -342,9 +309,7 @@ let service_conn t conn =
         | _ -> ()
       in
       frames ()
-    with
-    | P.Corrupt _ | Frame.Too_large _ -> drop_conn t conn
-    | Repl_error.Transport _ -> drop_conn t conn)
+    with P.Corrupt _ | Frame.Too_large _ | Repl_error.Transport _ -> drop_conn t conn)
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
   | exception Unix.Unix_error (_, _, _) -> drop_conn t conn
 
@@ -376,47 +341,20 @@ let prune t =
 (* Event loop                                                          *)
 
 let heartbeat t =
-  let msg =
-    P.encode_server
-      (P.Heartbeat { head_seq = t.next_seq - 1; cursor = t.chain; sent_us = now_us () })
-  in
+  let msg = heartbeat_msg t in
   List.iter
-    (fun c ->
-      if c.c_streaming then
-        try send_timed c.c_fd msg
-        with Repl_error.Transport _ -> drop_conn t c)
+    (fun c -> if c.c_streaming then try send c msg with Repl_error.Transport _ -> drop_conn t c)
     t.conns
 
-let accept_conns t =
-  let continue = ref true in
-  while !continue do
-    match Unix.accept t.listen_fd with
-    | fd, addr ->
-      Unix.set_nonblock fd;
-      (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-      let peer =
-        match addr with
-        | Unix.ADDR_INET (h, p) -> Printf.sprintf "%s:%d" (Unix.string_of_inet_addr h) p
-        | Unix.ADDR_UNIX s -> s
-      in
-      let conn =
-        {
-          c_fd = fd;
-          c_dec = Frame.decoder ();
-          c_peer = peer;
-          c_pos = -1;
-          c_streaming = false;
-          c_acked = -1;
-          c_alive = true;
-        }
-      in
-      ignore conn.c_peer;
-      t.conns <- conn :: t.conns;
-      set_followers_gauge t
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> continue := false
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error (_, _, _) -> continue := false
-  done
+let rec accept_conns t =
+  match Frame.accept t.listen_fd with
+  | Some fd ->
+    t.conns <-
+      { c_fd = fd; c_dec = Frame.decoder (); c_pos = -1; c_streaming = false; c_alive = true }
+      :: t.conns;
+    set_followers_gauge t;
+    accept_conns t
+  | None -> ()
 
 let stream_new t =
   List.iter
@@ -483,21 +421,10 @@ let seed_backlog t =
 
 let start ?(config = config ()) persist =
   let db = Persist.db persist in
-  let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
-  Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_loopback, config.cfg_port));
-  Unix.listen listen_fd listen_backlog;
-  Unix.set_nonblock listen_fd;
-  let lport =
-    match Unix.getsockname listen_fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> config.cfg_port
-  in
-  let wake_r, wake_w = Unix.pipe () in
+  let listen_fd, lport = Frame.listen ~port:config.cfg_port in
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;
-  (* A follower closing mid-write must surface as EPIPE, not kill us. *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let t =
     {
       cfg = config;

@@ -143,6 +143,36 @@ let test_frame_oversized_rejected () =
   | exception Frame.Too_large _ -> ()
   | _ -> Alcotest.fail "encode should reject oversized payload"
 
+(* A non-blocking peer that never reads gets the typed stall after one
+   send deadline.  The sender runs on its own domain and the peer is
+   closed after the deadline plus 5 s, so a send that ignored its
+   deadline fails this test with EPIPE instead of hanging it. *)
+let test_send_stall_is_typed () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let fd, peer = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.set_nonblock fd;
+  let result = Atomic.make None in
+  let t0 = Unix.gettimeofday () in
+  let sender =
+    Domain.spawn (fun () ->
+        Atomic.set result
+          (Some (try Ok (Frame.send fd (String.make (8 lsl 20) 'x')) with e -> Error e)))
+  in
+  while Atomic.get result = None && Unix.gettimeofday () -. t0 < Frame.send_deadline_s +. 5.0 do
+    Unix.sleepf 0.05
+  done;
+  Unix.close peer;
+  Domain.join sender;
+  Unix.close fd;
+  match Atomic.get result with
+  | Some (Error (Frame.Stalled { sent; len })) ->
+    Alcotest.(check bool) "part of the frame left unsent" true (sent < len);
+    Alcotest.(check bool) "raised at the deadline" true
+      (Unix.gettimeofday () -. t0 >= Frame.send_deadline_s -. 0.5)
+  | Some (Ok ()) -> Alcotest.fail "an 8 MiB frame cannot fit an undrained socketpair"
+  | Some (Error e) -> Alcotest.failf "expected Frame.Stalled, got %s" (Printexc.to_string e)
+  | None -> assert false
+
 (* ---- Protocol roundtrips ---- *)
 
 let value_gen =
@@ -791,6 +821,126 @@ let test_flight_records_server_era () =
   Alcotest.(check bool) "writer named" true (List.mem "writer" names);
   Alcotest.(check bool) "frontend named" true (List.mem "frontend" names)
 
+(* ---- Stalled and idle peers ---- *)
+
+(* A peer with a 4 KiB receive buffer that pipelines [n] copies of
+   [req] and never reads a reply.  Its one write is non-blocking: what
+   the server does not take is dropped rather than blocking the test. *)
+let stalled_peer ~port ~n req =
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_int fd Unix.SO_RCVBUF 4096;
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  Unix.set_nonblock fd;
+  let wire =
+    String.concat ""
+      (List.init n (fun i ->
+           Frame.encode (Proto.encode_req { Proto.req_id = i + 1; span_id = 0 } req)))
+  in
+  (try ignore (Unix.write_substring fd wire 0 (String.length wire)) with Unix.Unix_error _ -> ());
+  fd
+
+(* What a stalled peer may cost everyone else: one send deadline, plus
+   5 s of slack. *)
+let stall_bound_s = Frame.send_deadline_s +. 5.0
+
+(* [f port] with [peer] open, once the server has had time to take up
+   what the peer sent; the peer is closed before the server stops. *)
+let with_peer server peer f =
+  Fun.protect ~finally:(fun () -> Unix.close peer) @@ fun () ->
+  Unix.sleepf 0.3;
+  f (Server.port server)
+
+let expect_pong port =
+  match request_within ~timeout_s:stall_bound_s ~port Proto.Ping with
+  | Proto.Pong -> ()
+  | _ -> Alcotest.fail "expected Pong"
+
+(* The front end answers Metrics inline: a peer that pipelines them and
+   never reads stalls its reply, which must cost one send deadline, not
+   the front end. *)
+let test_pipelined_metrics_peer () =
+  with_server_cfg (Server.config ~slow_ms:0.0 ()) (fun server _ ->
+      let peer = stalled_peer ~port:(Server.port server) ~n:20_000 Proto.Metrics in
+      with_peer server peer expect_pong)
+
+(* Every node's [blob] is 64 KiB, so a few pipelined reads of it fill any
+   socket buffer. *)
+let blob_schema () =
+  let sch = Schema.create () in
+  Schema.add_type sch "node";
+  Schema.add_attr sch ~type_name:"node" (Rule.intrinsic "blob" (Value.Str (String.make 65536 'b')));
+  sch
+
+(* The same through a reader domain: a read routed to the reader that
+   serves the stalled peer is still answered. *)
+let test_pipelined_read_peer () =
+  let db = Db.create (blob_schema ()) in
+  let id = Db.create_instance db "node" in
+  let server =
+    Server.start ~config:(Server.config ~readers:2 ~slow_ms:0.0 ()) ~make_schema:blob_schema db
+  in
+  Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+  let read = Proto.Read { min_version = 0; instance = id; attr = "blob" } in
+  let peer = stalled_peer ~port:(Server.port server) ~n:1000 read in
+  with_peer server peer (fun port ->
+      match request_within ~timeout_s:stall_bound_s ~port read with
+      | Proto.Value { value = Value.Str s; _ } ->
+        Alcotest.(check int) "the whole blob" 65536 (String.length s)
+      | _ -> Alcotest.fail "expected the blob")
+
+(* An accepted metrics connection that never sends a request must not
+   hold up the front end. *)
+let test_idle_metrics_connection () =
+  with_server_cfg (Server.config ~slow_ms:0.0 ~metrics_port:0 ()) (fun server _ ->
+      let mport = Option.get (Server.metrics_port server) in
+      with_peer server (Frame.connect ~host:"127.0.0.1" ~port:mport) expect_pong)
+
+(* ---- Lifecycle ---- *)
+
+(* [start] returns once every replica is loaded, so the first read a
+   reader serves does not pay for its load: with a schema that takes
+   0.3 s to build, no read may blow a 200 ms deadline. *)
+let test_start_waits_for_replicas () =
+  let mu = Mutex.create () in
+  let lines = ref [] in
+  let sink l =
+    Mutex.lock mu;
+    lines := l :: !lines;
+    Mutex.unlock mu
+  in
+  let slow_schema () =
+    Unix.sleepf 0.3;
+    node_schema ()
+  in
+  let db, a, _, c = chain_db () in
+  let config = Server.config ~readers:2 ~slow_ms:200.0 ~slowlog_sink:sink () in
+  let server = Server.start ~config ~make_schema:slow_schema db in
+  Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+  let cl = Client.connect ~port:(Server.port server) () in
+  Fun.protect ~finally:(fun () -> Client.close cl) @@ fun () ->
+  (* a and c are served by different readers. *)
+  List.iter (fun id -> ignore (Client.read cl ~instance:id ~attr:"local")) [ a; c ];
+  Mutex.lock mu;
+  let logged = !lines in
+  Mutex.unlock mu;
+  Alcotest.(check (list string)) "no slow op" [] logged
+
+(* [stop] puts back the commit hook it chained after: later commits
+   reach that hook and publish nothing into the stopped readers. *)
+let test_stop_removes_its_hook () =
+  let db, _, _, c = chain_db () in
+  let prior_calls = ref 0 in
+  Db.set_commit_hook db (Some (fun _ -> incr prior_calls));
+  let before = Db.commit_hook db in
+  let server = Server.start ~config:(Server.config ~readers:2 ()) ~make_schema:node_schema db in
+  Server.stop server;
+  for i = 1 to 10 do
+    Db.with_txn db (fun () -> Db.set db c "local" (int i))
+  done;
+  Alcotest.(check int) "nothing published after stop" 0 (Server.published_version server);
+  Alcotest.(check bool) "the prior hook is back" true (Db.commit_hook db == before);
+  Alcotest.(check int) "and sees every commit" 10 !prior_calls
+
 let test_wal_chain_survives_restart () =
   let dir = "net_scratch_wal" in
   if Sys.file_exists dir then
@@ -838,6 +988,7 @@ let () =
           Alcotest.test_case "torn then completed" `Quick test_frame_torn_then_completed;
           Alcotest.test_case "multiple per feed" `Quick test_frame_multiple_in_one_feed;
           Alcotest.test_case "oversized rejected" `Quick test_frame_oversized_rejected;
+          Alcotest.test_case "send stall is typed" `Quick test_send_stall_is_typed;
         ] );
       ( "proto",
         [
@@ -857,6 +1008,14 @@ let () =
           Alcotest.test_case "replica failure is typed" `Quick test_replica_failure_is_typed;
           QCheck_alcotest.to_alcotest test_qcheck_lazy_replicas;
           Alcotest.test_case "wal chain survives restart" `Quick test_wal_chain_survives_restart;
+          Alcotest.test_case "start waits for replicas" `Quick test_start_waits_for_replicas;
+          Alcotest.test_case "stop removes its hook" `Quick test_stop_removes_its_hook;
+        ] );
+      ( "stalls",
+        [
+          Alcotest.test_case "pipelined metrics peer" `Quick test_pipelined_metrics_peer;
+          Alcotest.test_case "pipelined read peer" `Quick test_pipelined_read_peer;
+          Alcotest.test_case "idle metrics connection" `Quick test_idle_metrics_connection;
         ] );
       ( "observability",
         [
