@@ -1243,60 +1243,104 @@ let e17 () =
 (* E18: flight-recorder overhead — always-on observability must not    *)
 (* perturb the engine                                                  *)
 
+(* The plan-edit loop of E18's second row: a plan larger than the
+   default 64-block x 8 buffer pool, so pager misses (each one a flight
+   event) happen throughout the loop. *)
+let big_plan_size () = if !fast then (30, 30, 20) else (60, 200, 30)
+
 let e18 () =
-  let layers, width, rounds = plan_size () in
-  let reps = if !fast then 1 else 3 in
-  (* The E13 incremental workload: cpu seconds for the editing loop and
-     the full engine counter snapshot. *)
-  let run_once () =
+  let reps = if !fast then 1 else 9 in
+  (* A plan-edit loop: cpu seconds for the editing loop, the full engine
+     counter snapshot and the flight events recorded. *)
+  let run_once (layers, width, rounds) recording =
+    Cactis_obs.Flight.set_recording recording;
+    Cactis_obs.Flight.reset ();
     let p = W.plan ~strategy:Engine.Cactis ~layers ~width in
+    (* Start every timed loop from the same collector state. *)
+    Gc.full_major ();
     let t0 = Sys.time () in
     W.plan_edits p ~rounds;
     let elapsed = Sys.time () -. t0 in
-    (elapsed, Cactis_util.Counters.snapshot (Db.counters (W.M.db p.W.m)))
+    let d = Cactis_obs.Flight.snapshot () in
+    let events =
+      List.fold_left
+        (fun a (sec : Cactis_obs.Flight.section) -> a + sec.Cactis_obs.Flight.fs_total)
+        0 d.Cactis_obs.Flight.d_sections
+    in
+    (elapsed, Cactis_util.Counters.snapshot (Db.counters (W.M.db p.W.m)), events)
   in
-  let best recording =
-    Cactis_obs.Flight.set_recording recording;
-    let best_t = ref infinity in
-    let snap = ref [] in
-    let events = ref 0 in
-    for _ = 1 to reps do
-      Cactis_obs.Flight.reset ();
-      let t, s = run_once () in
-      if t < !best_t then best_t := t;
-      snap := s;
-      let d = Cactis_obs.Flight.snapshot () in
-      events :=
-        List.fold_left
-          (fun a (sec : Cactis_obs.Flight.section) -> a + sec.Cactis_obs.Flight.fs_total)
-          0 d.Cactis_obs.Flight.d_sections
-    done;
-    (!best_t, !snap, !events)
+  (* Each plan: [reps] pairs of runs, recording on and off back to back
+     (order alternating, so drift in machine load hits both sides
+     alike).  The overhead is the median over pairs of on/off - 1: a
+     burst of interference moves one pair, not the verdict, where the
+     two best-of minima are moved independently by it. *)
+  let measure size =
+    let best_on = ref infinity and best_off = ref infinity in
+    let last_on = ref ([], 0) and last_off = ref ([], 0) in
+    let ratios =
+      List.init reps (fun rep ->
+          let pair =
+            List.map
+              (fun recording ->
+                let t, snap, events = run_once size recording in
+                let best, last = if recording then (best_on, last_on) else (best_off, last_off) in
+                best := Float.min !best t;
+                last := (snap, events);
+                (recording, t))
+              (if rep land 1 = 0 then [ true; false ] else [ false; true ])
+          in
+          List.assoc true pair /. List.assoc false pair)
+      |> List.sort compare
+    in
+    Cactis_obs.Flight.set_recording true;
+    Cactis_obs.Flight.reset ();
+    let (snap_on, events_on), (snap_off, events_off) = (!last_on, !last_off) in
+    let overhead_pct = (List.nth ratios (reps / 2) -. 1.0) *. 100.0 in
+    (!best_on, snap_on, events_on, !best_off, snap_off, events_off, overhead_pct)
   in
-  let t_on, snap_on, events_on = best true in
-  let t_off, snap_off, events_off = best false in
-  Cactis_obs.Flight.set_recording true;
-  Cactis_obs.Flight.reset ();
-  let overhead_pct = if t_off > 0.0 then (t_on -. t_off) /. t_off *. 100.0 else 0.0 in
+  let plan_label (layers, width, _) = Printf.sprintf "%d milestones" ((layers * width) + 1) in
+  let e13 = plan_size () and big = big_plan_size () in
+  let results = List.map (fun size -> (plan_label size, measure size)) [ e13; big ] in
   R.table
-    ~headers:[ "recording"; "best-of cpu (s)"; "flight events"; "engine counters" ]
-    [
-      [ "on"; Printf.sprintf "%.3f" t_on; string_of_int events_on;
-        string_of_int (List.length snap_on) ];
-      [ "off"; Printf.sprintf "%.3f" t_off; string_of_int events_off;
-        string_of_int (List.length snap_off) ];
-    ];
-  (* The observability layer must be invisible to the engine: every
-     counter the workload bumps must come out bit-identical whether the
-     ring was recording or not. *)
-  R.gate ~name:"counters bit-identical on vs off" ~ok:(snap_on = snap_off)
-    (Printf.sprintf "%d counter cells on, %d off" (List.length snap_on) (List.length snap_off));
-  R.gate ~name:"no events while off" ~ok:(events_off = 0)
-    (Printf.sprintf "%d events recorded off" events_off);
-  (* The cpu gate only judges full runs: --fast does one short rep and a
+    ~headers:[ "plan"; "recording"; "best-of cpu (s)"; "flight events"; "engine counters" ]
+    (List.concat_map
+       (fun (label, (t_on, snap_on, events_on, t_off, snap_off, events_off, _)) ->
+         [
+           [ label; "on"; Printf.sprintf "%.3f" t_on; string_of_int events_on;
+             string_of_int (List.length snap_on) ];
+           [ label; "off"; Printf.sprintf "%.3f" t_off; string_of_int events_off;
+             string_of_int (List.length snap_off) ];
+         ])
+       results);
+  let _, e13_plan = List.nth results 0 and _, big_plan = List.nth results 1 in
+  let layers, width, _ = big in
+  Printf.printf "(E13 plan, and a %dx%d plan over the default %d-object pool)\n" layers width (64 * 8);
+  List.iter
+    (fun (label, (_, snap_on, _, _, snap_off, events_off, _)) ->
+      (* The observability layer must be invisible to the engine: every
+         counter the workload bumps must come out bit-identical whether
+         the ring was recording or not. *)
+      R.gate
+        ~name:(Printf.sprintf "counters bit-identical on vs off (%s)" label)
+        ~ok:(snap_on = snap_off)
+        (Printf.sprintf "%d counter cells on, %d off" (List.length snap_on) (List.length snap_off));
+      R.gate
+        ~name:(Printf.sprintf "no events while off (%s)" label)
+        ~ok:(events_off = 0)
+        (Printf.sprintf "%d events recorded off" events_off))
+    results;
+  (* The cpu gates only judge full runs: --fast does one short rep and a
      single noisy measurement would fail good code. *)
-  R.gate ~name:"recording overhead <= 5%" ?skip:(if !fast then Some "--fast" else None)
-    ~ok:(overhead_pct <= 5.0) (Printf.sprintf "overhead %+.2f%%" overhead_pct)
+  let skip = if !fast then Some "--fast" else None in
+  let overhead (_, _, _, _, _, _, pct) = pct in
+  R.gate ~name:"recording overhead <= 5%" ?skip
+    ~ok:(overhead e13_plan <= 5.0)
+    (Printf.sprintf "overhead %+.2f%%" (overhead e13_plan));
+  (* On a plan larger than the pool every pager miss records an event:
+     the per-event cost itself is what this row judges. *)
+  R.gate ~name:"recording overhead <= 10% (plan > pool)" ?skip
+    ~ok:(overhead big_plan <= 10.0)
+    (Printf.sprintf "overhead %+.2f%%" (overhead big_plan))
 
 (* ================================================================== *)
 (* E19: abstract-interpretation cost model + [Far86] fixed points      *)
@@ -1648,7 +1692,7 @@ let experiments =
     { id = "E17"; run = e17; title = "sustained QPS: domain-parallel snapshot reads behind TCP";
       claim = "the paper's closing direction — \"various sub-traversals ... actually running at the \
          same time\"; read throughput should scale with reader domains" };
-    { id = "E18"; run = e18; title = "flight recorder overhead: E13 incremental workload, recording on vs off";
+    { id = "E18"; run = e18; title = "flight recorder overhead: E13 workload and a plan larger than the pool, recording on vs off";
       claim = "the ring records every txn/WAL/pager event in production; this run proves the \
          instrumentation neither perturbs the engine's counters nor costs measurable cpu" };
     { id = "E19"; run = e19; title = "cost/convergence abstract interpretation + fixed-point evaluation";

@@ -1,6 +1,7 @@
 module Counters = Cactis_util.Counters
 module Decaying_avg = Cactis_util.Decaying_avg
 module Symbol = Cactis_util.Symbol
+module Itbl = Cactis_util.Itbl
 module Usage = Cactis_storage.Usage
 module Clock = Cactis_obs.Clock
 module Ctx = Cactis_obs.Ctx
@@ -14,6 +15,59 @@ type strategy =
 
 type recovery = Store.t -> int -> (int * string * Value.t) list
 
+(* ------------------------------------------------------------------ *)
+(* Wave state                                                          *)
+
+(* Everything one mark or evaluation wave needs besides the database,
+   kept per engine and reset between waves instead of re-created, so a
+   wave allocates (almost) nothing outside the rule bodies:
+
+   - the chunk scheduler ({!Sched}), whose entries are numbered;
+   - each scheduled chunk's payload in int columns indexed by that
+     number ([e_*]): a mark target is (id, slot, symbol); a demand is
+     (id, slot, requesting frame, crossed link as instance + rel
+     symbol, -1 for none); a finish names its frame;
+   - the frames of open evaluations, an arena of columns indexed by
+     frame number ([f_*], costs in an unboxed float array), found by
+     packed (id, attr symbol) key through [frames];
+   - waiter lists, intrusive: [waiters] maps a key to its newest node,
+     node k holds frame [w_frame.(k)] and links to [w_next.(k)];
+   - one evaluation environment whose closures read the running
+     frame's instance and slot from [cur_id]/[cur_ix].
+
+   Columns only grow while the state is kept ([with_wave] says when it
+   is not).  A wave started while another is running on the same engine
+   (an observer callback reading an attribute, say) gets a fresh
+   private state: [busy] marks the shared one as taken. *)
+type wave = {
+  mutable busy : bool;
+  mutable chunks : Sched.t;
+  mutable e_id : int array;
+  mutable e_ix : int array;
+  mutable e_sym : int array;  (* mark: target attribute symbol *)
+  mutable e_frame : int array;  (* eval: frame to finish, -1 for a demand *)
+  mutable e_parent : int array;  (* demand: requesting frame, or -1 *)
+  mutable e_via_i : int array;  (* demand: requesting instance, or -1 *)
+  mutable e_via_sym : int array;  (* demand: relationship symbol crossed *)
+  mutable nframes : int;
+  mutable f_id : int array;
+  mutable f_ix : int array;
+  mutable f_sym : int array;
+  mutable f_pending : int array;
+  mutable f_parent : int array;
+  mutable f_via_i : int array;
+  mutable f_via_sym : int array;
+  mutable f_cost : float array;  (* block misses charged to this subtree *)
+  frames : Itbl.t;  (* packed (id, attr sym) -> open frame *)
+  waiters : Itbl.t;  (* packed (id, attr sym) -> newest waiter node *)
+  mutable nnodes : int;
+  mutable w_frame : int array;
+  mutable w_next : int array;
+  mutable cur_id : int;
+  mutable cur_ix : int;
+  mutable env : Schema.env;
+}
+
 (* Hot-path tables key on [Symbol.pack instance_id attr_symbol] — a
    single immediate int — instead of [(int * string)] pairs; attribute
    and dependency resolution goes through the schema's compiled layouts
@@ -23,8 +77,8 @@ type t = {
   store : Store.t;
   mutable strategy : strategy;
   mutable sched : Sched.strategy;
-  watched : (int, unit) Hashtbl.t;  (* packed (id, attr sym) *)
-  pending_important : (int, unit) Hashtbl.t;  (* packed (id, attr sym) *)
+  watched : Itbl.t;  (* packed (id, attr sym) *)
+  pending_important : Itbl.t;  (* packed (id, attr sym) *)
   recoveries : (string, recovery) Hashtbl.t;
   mutable repair : (int -> string -> Value.t -> unit) option;
   mutable in_recovery : bool;
@@ -52,7 +106,161 @@ type t = {
   c_fixpoint_runs : int ref;
   c_fixpoint_sweeps : int ref;
   h_fixpoint_iters : Histogram.h;
+  mutable wave : wave;
 }
+
+let slot_info (inst : Instance.t) ix =
+  let lay = inst.Instance.layout in
+  Schema.refresh_layout lay;
+  lay.Schema.lay_slots.(ix)
+
+let link_info (inst : Instance.t) ix =
+  let lay = inst.Instance.layout in
+  Schema.refresh_layout lay;
+  lay.Schema.lay_links.(ix)
+
+let rule_of_si (inst : Instance.t) (si : Schema.slot_info) =
+  match si.Schema.si_rule with
+  | Some cr -> cr
+  | None ->
+    Errors.type_error "attribute %s of %s is intrinsic" si.Schema.si_name inst.Instance.type_name
+
+(* ------------------------------------------------------------------ *)
+(* Environment construction shared by all evaluators                   *)
+
+(* Slot index of the rule's declared [Self b] source.  Reads are
+   validated against the declared sources so an undeclared read fails
+   loudly instead of being silently non-incremental. *)
+let self_source (cr : Schema.compiled_rule) (inst : Instance.t) b =
+  let srcs = cr.Schema.cr_sources in
+  let rec find i =
+    if i >= Array.length srcs then
+      Errors.type_error "rule on %s reads undeclared source self.%s" inst.Instance.type_name b
+    else
+      match srcs.(i) with
+      | Schema.C_self { s_name; s_slot } when String.equal s_name b -> s_slot
+      | _ -> find (i + 1)
+  in
+  find 0
+
+(* Position in [cr_sources] of the declared [Rel (r, name)] source. *)
+let rel_source (cr : Schema.compiled_rule) (inst : Instance.t) r name =
+  let srcs = cr.Schema.cr_sources in
+  let rec find i =
+    if i >= Array.length srcs then
+      Errors.type_error "rule on %s reads undeclared source %s.%s" inst.Instance.type_name r name
+    else
+      match srcs.(i) with
+      | Schema.C_rel c when String.equal c.r_rel r && String.equal c.r_attr name -> i
+      | _ -> find (i + 1)
+  in
+  find 0
+
+(* Raised by a [related_values] fetch to leave one related value out
+   (fixed-point sweeps drop slots not yet evaluated in the run). *)
+exception Skip
+
+(* Related values across the rel source [cr_sources.(k)], in link order:
+   each crossing is recorded in the usage statistics, then [fetch j slot]
+   reads the value. *)
+let related_values store (cr : Schema.compiled_rule) (inst : Instance.t) k fetch =
+  match cr.Schema.cr_sources.(k) with
+  | Schema.C_self _ -> assert false
+  | Schema.C_rel c ->
+    let usage = Store.usage store in
+    let l = Instance.links_ix inst c.r_link in
+    let n = l.Instance.n in
+    let rec go m =
+      if m >= n then []
+      else begin
+        let j = l.Instance.ids.(m) in
+        if c.r_slot < 0 then
+          Errors.unknown "type %s has no attribute %s" c.r_target (Symbol.name c.r_sym);
+        Usage.cross_sym usage ~from_instance:inst.Instance.id ~rel_sym:c.r_rel_sym ~to_instance:j;
+        match fetch j c.r_slot with v -> v :: go (m + 1) | exception Skip -> go (m + 1)
+      end
+    in
+    go 0
+
+(* [fetch_value j slot_ix] must return the (up-to-date) value of a
+   possibly-derived slot of instance [j]. *)
+let build_env store (cr : Schema.compiled_rule) (inst : Instance.t) ~fetch_value =
+  {
+    Schema.self_value = (fun b -> fetch_value inst.Instance.id (self_source cr inst b));
+    related_values = (fun r name -> related_values store cr inst (rel_source cr inst r name) fetch_value);
+  }
+
+(* Patch a lazily-created intrinsic slot (schema extension) to its
+   default on first evaluation touch. *)
+let settle_intrinsic (si : Schema.slot_info) (s : Instance.slot) =
+  match si.Schema.si_def.Schema.kind with
+  | Schema.Intrinsic default ->
+    s.Instance.value <- default;
+    s.Instance.state <- Instance.Up_to_date
+  | Schema.Derived _ -> assert false
+
+(* The wave's environment: its closures are built once per wave state
+   and read the frame being finished from [cur_id]/[cur_ix].  All
+   derived sources were demanded and completed before a Finish is
+   scheduled, so an out-of-date source here is a lazily-created
+   intrinsic. *)
+let wave_env store ws =
+  let fetch j jx =
+    let jinst = Store.get store j in
+    if j <> ws.cur_id then Store.touch store j;
+    let s = Instance.slot_ix jinst jx in
+    (match s.Instance.state with
+    | Instance.Up_to_date -> ()
+    | Instance.Out_of_date | Instance.In_progress -> settle_intrinsic (slot_info jinst jx) s);
+    s.Instance.value
+  in
+  let current () = Store.get store ws.cur_id in
+  let rule inst = rule_of_si inst (slot_info inst ws.cur_ix) in
+  {
+    Schema.self_value =
+      (fun b ->
+        let inst = current () in
+        fetch inst.Instance.id (self_source (rule inst) inst b));
+    related_values =
+      (fun r name ->
+        let inst = current () in
+        let cr = rule inst in
+        related_values store cr inst (rel_source cr inst r name) fetch);
+  }
+
+let new_wave store sched =
+  let ws =
+    {
+      busy = false;
+      chunks = Sched.create sched store;
+      e_id = [||];
+      e_ix = [||];
+      e_sym = [||];
+      e_frame = [||];
+      e_parent = [||];
+      e_via_i = [||];
+      e_via_sym = [||];
+      nframes = 0;
+      f_id = [||];
+      f_ix = [||];
+      f_sym = [||];
+      f_pending = [||];
+      f_parent = [||];
+      f_via_i = [||];
+      f_via_sym = [||];
+      f_cost = [||];
+      frames = Itbl.create 64;
+      waiters = Itbl.create 64;
+      nnodes = 0;
+      w_frame = [||];
+      w_next = [||];
+      cur_id = -1;
+      cur_ix = -1;
+      env = { Schema.self_value = (fun _ -> Value.Null); related_values = (fun _ _ -> []) };
+    }
+  in
+  ws.env <- wave_env store ws;
+  ws
 
 let create ?(strategy = Cactis) ?(sched = Sched.Greedy) store =
   let counters = Store.counters store in
@@ -67,8 +275,8 @@ let create ?(strategy = Cactis) ?(sched = Sched.Greedy) store =
     store;
     strategy;
     sched;
-    watched = Hashtbl.create 32;
-    pending_important = Hashtbl.create 32;
+    watched = Itbl.create 32;
+    pending_important = Itbl.create 32;
     recoveries = Hashtbl.create 8;
     repair = None;
     in_recovery = false;
@@ -83,6 +291,7 @@ let create ?(strategy = Cactis) ?(sched = Sched.Greedy) store =
     c_misses = Counters.cell counters "block_misses";
     c_fixpoint_runs = Counters.cell counters "fixpoint_runs";
     c_fixpoint_sweeps = Counters.cell counters "fixpoint_sweeps";
+    wave = new_wave store sched;
   }
 
 let store t = t.store
@@ -104,41 +313,73 @@ let fixed_point t = t.fixpoint
 let schema t = Store.schema t.store
 let counters t = Store.counters t.store
 
-let slot_info (inst : Instance.t) ix =
-  let lay = inst.Instance.layout in
-  Schema.refresh_layout lay;
-  lay.Schema.lay_slots.(ix)
+(* [with_wave t f] runs one wave on the engine's reset wave state, or on
+   a fresh one when the shared state is already running a wave.  A state
+   that a rare large wave (a first full evaluation, say) grew past 16 Ki
+   entries is dropped for a fresh one after a wave that used less than
+   an eighth of it: the live heap, and with it the collector's peak,
+   does not carry the largest wave ever run, while states up to 16 Ki
+   entries are kept, so ordinary waves never re-grow their arrays. *)
+let with_wave t f =
+  let ws = if t.wave.busy then new_wave t.store t.sched else t.wave in
+  if Sched.strategy ws.chunks <> t.sched then ws.chunks <- Sched.create t.sched t.store
+  else Sched.reset ws.chunks;
+  ws.nframes <- 0;
+  ws.nnodes <- 0;
+  Itbl.clear ws.frames;
+  Itbl.clear ws.waiters;
+  ws.busy <- true;
+  let finish () =
+    ws.busy <- false;
+    if ws == t.wave && Array.length ws.e_id > max 16384 (8 * Sched.scheduled ws.chunks) then
+      t.wave <- new_wave t.store t.sched
+  in
+  match f ws with
+  | () -> finish ()
+  | exception e ->
+    finish ();
+    raise e
 
-let link_info (inst : Instance.t) ix =
-  let lay = inst.Instance.layout in
-  Schema.refresh_layout lay;
-  lay.Schema.lay_links.(ix)
+let grow_int a need fill =
+  if need < Array.length a then a
+  else begin
+    let b = Array.make (max (need + 1) (max 64 (2 * Array.length a))) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
 
-let rule_of_si (inst : Instance.t) (si : Schema.slot_info) =
-  match si.Schema.si_rule with
-  | Some cr -> cr
-  | None ->
-    Errors.type_error "attribute %s of %s is intrinsic" si.Schema.si_name inst.Instance.type_name
+(* Make room for entry [e]'s payload. *)
+let ensure_entry ws e =
+  if e >= Array.length ws.e_id then begin
+    ws.e_id <- grow_int ws.e_id e 0;
+    ws.e_ix <- grow_int ws.e_ix e 0;
+    ws.e_sym <- grow_int ws.e_sym e 0;
+    ws.e_frame <- grow_int ws.e_frame e 0;
+    ws.e_parent <- grow_int ws.e_parent e 0;
+    ws.e_via_i <- grow_int ws.e_via_i e 0;
+    ws.e_via_sym <- grow_int ws.e_via_sym e 0
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Importance                                                          *)
 
 let important_si t id (si : Schema.slot_info) =
-  si.Schema.si_constrained || Hashtbl.mem t.watched (Symbol.pack id si.Schema.si_sym)
+  si.Schema.si_constrained || Itbl.mem t.watched (Symbol.pack id si.Schema.si_sym)
 
+(* Watching needs a live instance and a declared attribute, exactly as
+   reading does; anything else raises the same [Errors.Unknown]. *)
 let watch t id a =
-  Hashtbl.replace t.watched (Symbol.pack id (Symbol.intern a)) ();
-  match Store.get_opt t.store id with
-  | Some inst -> (
-    match Instance.find_slot inst a with
-    | Some ix ->
-      if (Instance.slot_ix inst ix).Instance.state = Instance.Out_of_date then
-        Hashtbl.replace t.pending_important (Symbol.pack id (Symbol.intern a)) ()
-    | None -> ())
-  | None -> ()
+  let inst = Store.get t.store id in
+  match Instance.find_slot inst a with
+  | None -> Errors.unknown "type %s has no attribute %s" inst.Instance.type_name a
+  | Some ix ->
+    let key = Symbol.pack id (slot_info inst ix).Schema.si_sym in
+    Itbl.replace t.watched key 1;
+    if (Instance.slot_ix inst ix).Instance.state = Instance.Out_of_date then
+      Itbl.replace t.pending_important key 1
 
-let unwatch t id a = Hashtbl.remove t.watched (Symbol.pack id (Symbol.intern a))
-let is_watched t id a = Hashtbl.mem t.watched (Symbol.pack id (Symbol.intern a))
+let unwatch t id a = Itbl.remove t.watched (Symbol.pack id (Symbol.intern a))
+let is_watched t id a = Itbl.mem t.watched (Symbol.pack id (Symbol.intern a))
 
 (* ------------------------------------------------------------------ *)
 (* Dependency enumeration                                              *)
@@ -155,35 +396,33 @@ type target = {
 
 (* Dependents of slot [ix] of [inst]: within the instance, and across
    each relationship to currently-linked neighbours — all resolved at
-   schema-compile time to index/symbol tables. *)
+   schema-compile time to index/symbol tables.  [f id slot sym via_i
+   via_sym] is called for each, in order; [via_i] is -1 for a dependent
+   within the instance. *)
 let iter_dependents (inst : Instance.t) ix f =
   let lay = inst.Instance.layout in
   Schema.refresh_layout lay;
   let si = lay.Schema.lay_slots.(ix) in
-  Array.iter
-    (fun d ->
-      let dsi = lay.Schema.lay_slots.(d) in
-      f { t_id = inst.Instance.id; t_ix = d; t_sym = dsi.Schema.si_sym; t_via = None })
-    si.Schema.si_self_deps;
-  Array.iter
-    (fun (xd : Schema.cross_dep) ->
-      Instance.iter_linked inst xd.Schema.xd_link (fun j ->
-          f
-            {
-              t_id = j;
-              t_ix = xd.Schema.xd_slot;
-              t_sym = xd.Schema.xd_sym;
-              t_via = Some (inst.Instance.id, xd.Schema.xd_rel_sym);
-            }))
-    si.Schema.si_cross_deps
+  let self = si.Schema.si_self_deps in
+  for k = 0 to Array.length self - 1 do
+    let d = self.(k) in
+    f inst.Instance.id d lay.Schema.lay_slots.(d).Schema.si_sym (-1) 0
+  done;
+  let cross = si.Schema.si_cross_deps in
+  for k = 0 to Array.length cross - 1 do
+    let xd = cross.(k) in
+    let l = Instance.links_ix inst xd.Schema.xd_link in
+    for m = 0 to l.Instance.n - 1 do
+      f l.Instance.ids.(m) xd.Schema.xd_slot xd.Schema.xd_sym inst.Instance.id xd.Schema.xd_rel_sym
+    done
+  done
 
 let dependents_ix inst ix =
   let acc = ref [] in
-  iter_dependents inst ix (fun tgt -> acc := tgt :: !acc);
+  iter_dependents inst ix (fun t_id t_ix t_sym via_i via_sym ->
+      let t_via = if via_i < 0 then None else Some (via_i, via_sym) in
+      acc := { t_id; t_ix; t_sym; t_via } :: !acc);
   List.rev !acc
-
-(* ------------------------------------------------------------------ *)
-(* Environment construction shared by all evaluators                   *)
 
 (* The attribute actually transmitted when [name] is requested across the
    reader's relationship [r]: the target type may alias it (Figure 1's
@@ -192,47 +431,6 @@ let dependents_ix inst ix =
 let resolve_transmission t (inst : Instance.t) r name =
   let rd = Schema.rel (schema t) ~type_name:inst.Instance.type_name r in
   Schema.resolve_export (schema t) ~type_name:rd.Schema.target ~rel:rd.Schema.inverse name
-
-(* [fetch_value j slot_ix] must return the (up-to-date) value of a
-   possibly-derived slot of instance [j].  Reads are validated against
-   the rule's declared sources so an undeclared read fails loudly
-   instead of being silently non-incremental. *)
-let build_env t (cr : Schema.compiled_rule) (inst : Instance.t) ~fetch_value =
-  let srcs = cr.Schema.cr_sources in
-  let n = Array.length srcs in
-  let self_value b =
-    let rec find i =
-      if i >= n then
-        Errors.type_error "rule on %s reads undeclared source self.%s" inst.Instance.type_name b
-      else
-        match srcs.(i) with
-        | Schema.C_self { s_name; s_slot } when String.equal s_name b ->
-          fetch_value inst.Instance.id s_slot
-        | _ -> find (i + 1)
-    in
-    find 0
-  in
-  let related_values r name =
-    let rec find i =
-      if i >= n then
-        Errors.type_error "rule on %s reads undeclared source %s.%s" inst.Instance.type_name r
-          name
-      else
-        match srcs.(i) with
-        | Schema.C_rel c when String.equal c.r_rel r && String.equal c.r_attr name ->
-          let usage = Store.usage t.store in
-          Instance.linked_ix inst c.r_link
-          |> List.map (fun j ->
-                 if c.r_slot < 0 then
-                   Errors.unknown "type %s has no attribute %s" c.r_target (Symbol.name c.r_sym);
-                 Usage.cross_sym usage ~from_instance:inst.Instance.id ~rel_sym:c.r_rel_sym
-                   ~to_instance:j;
-                 fetch_value j c.r_slot)
-        | _ -> find (i + 1)
-    in
-    find 0
-  in
-  { Schema.self_value; related_values }
 
 let record_constraint_check t (inst : Instance.t) (si : Schema.slot_info) v =
   if si.Schema.si_constrained then begin
@@ -263,11 +461,7 @@ let rec eval_rec t path id ix =
       (* Intrinsic slots are always up to date; an out-of-date intrinsic
          can only be a slot created lazily after a schema extension —
          give it the schema default. *)
-      (match si.Schema.si_def.Schema.kind with
-      | Schema.Intrinsic default ->
-        s.Instance.value <- default;
-        s.Instance.state <- Instance.Up_to_date
-      | Schema.Derived _ -> assert false);
+      settle_intrinsic si s;
       s.Instance.value
     end
     else begin
@@ -281,7 +475,7 @@ let rec eval_rec t path id ix =
         if jsi.Schema.si_derived then eval_rec t ((id, si.Schema.si_name) :: path) j jx
         else (Instance.slot_ix jinst jx).Instance.value
       in
-      let env = build_env t cr inst ~fetch_value in
+      let env = build_env t.store cr inst ~fetch_value in
       let v =
         try cr.Schema.cr_rule.Schema.compute env
         with e ->
@@ -295,7 +489,7 @@ let rec eval_rec t path id ix =
       s.Instance.value <- v;
       s.Instance.state <- Instance.Up_to_date;
       Store.notify_write t.store id si.Schema.si_name v;
-      Hashtbl.remove t.pending_important (Symbol.pack id si.Schema.si_sym);
+      Itbl.remove t.pending_important (Symbol.pack id si.Schema.si_sym);
       record_constraint_check t inst si v;
       v
     end
@@ -305,72 +499,57 @@ let rec eval_rec t path id ix =
 
 let mark_cost t j = if Store.resident t.store j then 0.0 else 1.0
 
+let schedule_mark t ws id ix sym via_i via_sym =
+  (match t.prof with Some p -> Profile.on_edge p | None -> ());
+  if via_i >= 0 then
+    Usage.cross_sym (Store.usage t.store) ~from_instance:via_i ~rel_sym:via_sym ~to_instance:id;
+  let e = Sched.schedule ws.chunks ~instance:id ~cost:(mark_cost t id) in
+  ensure_entry ws e;
+  ws.e_id.(e) <- id;
+  ws.e_ix.(e) <- ix;
+  ws.e_sym.(e) <- sym
+
+(* [schedule] is [schedule_mark t ws], built once per wave. *)
+let rec mark_loop t ws schedule =
+  let e = Sched.next ws.chunks in
+  if e >= 0 then begin
+    let id = ws.e_id.(e) and ix = ws.e_ix.(e) and sym = ws.e_sym.(e) in
+    (match Store.get_opt t.store id with
+    | None -> ()
+    | Some inst -> (
+      Store.touch t.store id;
+      incr t.c_mark_visits;
+      let s = Instance.slot_ix inst ix in
+      match s.Instance.state with
+      | Instance.Out_of_date ->
+        (* Already out of date: the traversal is cut short here — this
+           is the source of the O(1) repeated-update behaviour. *)
+        incr t.c_mark_cutoffs;
+        (match t.prof with Some p -> Profile.on_cutoff p | None -> ())
+      | Instance.Up_to_date | Instance.In_progress ->
+        s.Instance.state <- Instance.Out_of_date;
+        (match t.prof with Some p -> Profile.on_mark p ~key:(Symbol.pack id sym) | None -> ());
+        Store.notify_mark t.store id (Symbol.name sym);
+        if important_si t id (slot_info inst ix) then
+          Itbl.replace t.pending_important (Symbol.pack id sym) 1;
+        iter_dependents inst ix schedule));
+    mark_loop t ws schedule
+  end
+
 let run_marks t targets =
   if targets <> [] then begin
     let start_ns = Clock.now_ns () in
     let visits0 = !(t.c_mark_visits) in
-    let sched = Sched.create t.sched t.store in
-    let usage = Store.usage t.store in
-    let schedule tgt =
-      (match t.prof with Some p -> Profile.on_edge p | None -> ());
-      (match tgt.t_via with
-      | Some (i, rsym) -> Usage.cross_sym usage ~from_instance:i ~rel_sym:rsym ~to_instance:tgt.t_id
-      | None -> ());
-      Sched.schedule sched ~instance:tgt.t_id ~cost:(mark_cost t tgt.t_id) tgt
-    in
-    List.iter schedule targets;
-    let rec loop () =
-      match Sched.next sched with
-      | None -> ()
-      | Some tgt ->
-        (match Store.get_opt t.store tgt.t_id with
-        | None -> ()
-        | Some inst ->
-          Store.touch t.store tgt.t_id;
-          incr t.c_mark_visits;
-          let s = Instance.slot_ix inst tgt.t_ix in
-          (match s.Instance.state with
-          | Instance.Out_of_date ->
-            (* Already out of date: the traversal is cut short here — this
-               is the source of the O(1) repeated-update behaviour. *)
-            incr t.c_mark_cutoffs;
-            (match t.prof with Some p -> Profile.on_cutoff p | None -> ())
-          | Instance.Up_to_date | Instance.In_progress ->
-            s.Instance.state <- Instance.Out_of_date;
-            (match t.prof with
-            | Some p -> Profile.on_mark p ~key:(Symbol.pack tgt.t_id tgt.t_sym)
-            | None -> ());
-            Store.notify_mark t.store tgt.t_id (Symbol.name tgt.t_sym);
-            if important_si t tgt.t_id (slot_info inst tgt.t_ix) then
-              Hashtbl.replace t.pending_important (Symbol.pack tgt.t_id tgt.t_sym) ();
-            iter_dependents inst tgt.t_ix schedule));
-        loop ()
-    in
-    loop ();
+    with_wave t (fun ws ->
+        let schedule id ix sym via_i via_sym = schedule_mark t ws id ix sym via_i via_sym in
+        List.iter
+          (fun tgt ->
+            let via_i, via_sym = match tgt.t_via with Some v -> v | None -> (-1, 0) in
+            schedule tgt.t_id tgt.t_ix tgt.t_sym via_i via_sym)
+          targets;
+        mark_loop t ws schedule);
     Ctx.span ~h:t.h_mark_wave "mark_wave" ~start_ns (!(t.c_mark_visits) - visits0)
   end
-
-(* ------------------------------------------------------------------ *)
-(* Demand-driven evaluation phase (chunked)                            *)
-
-type frame = {
-  f_id : int;
-  f_ix : int;  (* slot index of the attribute being evaluated *)
-  f_sym : int;
-  mutable f_pending : int;
-  mutable f_cost : float;  (* block misses charged to this subtree *)
-  f_parent : frame option;
-  f_via : (int * int) option;  (* (requesting instance, rel symbol) *)
-}
-
-type eval_proc =
-  | Demand of {
-      d_id : int;
-      d_ix : int;
-      d_parent : frame option;
-      d_via : (int * int) option;
-    }
-  | Finish of frame
 
 (* ------------------------------------------------------------------ *)
 (* Bounded fixed-point evaluation of stuck (cyclic) frames ([Far86])   *)
@@ -410,24 +589,23 @@ let fp_height ~n_cyclic = function
   | Schema.Shape_min | Schema.Shape_max -> n_cyclic
   | Schema.Shape_unbounded -> max_int
 
-let solve_fixpoint t ~max_iters frames waiters =
+let solve_fixpoint t ~max_iters ws =
   let start_ns = Clock.now_ns () in
   (* Resolve every stuck frame to a live slot; a frame whose instance
      vanished mid-run falls back to the cycle-error path. *)
   let entries =
-    Hashtbl.fold
-      (fun key (frame : frame) acc ->
+    Itbl.fold
+      (fun key f acc ->
         match acc with
         | None -> None
         | Some l -> (
-          match Store.get_opt t.store frame.f_id with
+          match Store.get_opt t.store ws.f_id.(f) with
           | None -> None
           | Some inst ->
-            let si = slot_info inst frame.f_ix in
-            Some
-              ({ e_key = key; e_inst = inst; e_ix = frame.f_ix; e_si = si; e_computed = false }
-              :: l)))
-      frames (Some [])
+            let ix = ws.f_ix.(f) in
+            let si = slot_info inst ix in
+            Some ({ e_key = key; e_inst = inst; e_ix = ix; e_si = si; e_computed = false } :: l)))
+      ws.frames (Some [])
   in
   match entries with
   | None -> false
@@ -451,15 +629,18 @@ let solve_fixpoint t ~max_iters frames waiters =
       let prev = match Hashtbl.find_opt deps w with Some l -> l | None -> [] in
       Hashtbl.replace deps w (k :: prev)
     in
-    Hashtbl.iter
-      (fun key r ->
-        if Hashtbl.mem by_key key then
-          List.iter
-            (fun (w : frame) ->
-              let wkey = Symbol.pack w.f_id w.f_sym in
-              if Hashtbl.mem by_key wkey then add_dep wkey key)
-            !r)
-      waiters;
+    Itbl.iter
+      (fun key node ->
+        if Hashtbl.mem by_key key then begin
+          let node = ref node in
+          while !node >= 0 do
+            let w = ws.w_frame.(!node) in
+            let wkey = Symbol.pack ws.f_id.(w) ws.f_sym.(w) in
+            if Hashtbl.mem by_key wkey then add_dep wkey key;
+            node := ws.w_next.(!node)
+          done
+        end)
+      ws.waiters;
     let on_cycle key =
       let seen = Hashtbl.create 8 in
       let rec go k =
@@ -514,15 +695,15 @@ let solve_fixpoint t ~max_iters frames waiters =
               | None -> ())
             | None -> ())
         entries;
-      (* [None] = the slot belongs to this run and has not been
-         evaluated yet: its contribution is dropped from aggregates. *)
-      let fetch_opt self_id j jx =
+      (* A slot that belongs to this run and has not been evaluated yet
+         raises [Skip]: its contribution is dropped from aggregates. *)
+      let fetch self_id j jx =
         let jinst = Store.get t.store j in
         if j <> self_id then Store.touch t.store j;
         let s = Instance.slot_ix jinst jx in
         let jsi = slot_info jinst jx in
         match Hashtbl.find_opt by_key (Symbol.pack j jsi.Schema.si_sym) with
-        | Some e -> if e.e_computed then Some s.Instance.value else None
+        | Some e -> if e.e_computed then s.Instance.value else raise Skip
         | None ->
           (match s.Instance.state with
           | Instance.Up_to_date -> ()
@@ -532,48 +713,18 @@ let solve_fixpoint t ~max_iters frames waiters =
               s.Instance.value <- default;
               s.Instance.state <- Instance.Up_to_date
             | Schema.Derived _ -> ()));
-          Some s.Instance.value
+          s.Instance.value
       in
       let env_for (cr : Schema.compiled_rule) (inst : Instance.t) =
-        let srcs = cr.Schema.cr_sources in
-        let n = Array.length srcs in
-        let self_value b =
-          let rec find i =
-            if i >= n then
-              Errors.type_error "rule on %s reads undeclared source self.%s"
-                inst.Instance.type_name b
-            else
-              match srcs.(i) with
-              | Schema.C_self { s_name; s_slot } when String.equal s_name b -> (
-                match fetch_opt inst.Instance.id inst.Instance.id s_slot with
-                | Some v -> v
-                | None -> (Instance.slot_ix inst s_slot).Instance.value)
-              | _ -> find (i + 1)
-          in
-          find 0
-        in
-        let related_values r name =
-          let rec find i =
-            if i >= n then
-              Errors.type_error "rule on %s reads undeclared source %s.%s"
-                inst.Instance.type_name r name
-            else
-              match srcs.(i) with
-              | Schema.C_rel c when String.equal c.r_rel r && String.equal c.r_attr name ->
-                let usage = Store.usage t.store in
-                Instance.linked_ix inst c.r_link
-                |> List.filter_map (fun j ->
-                       if c.r_slot < 0 then
-                         Errors.unknown "type %s has no attribute %s" c.r_target
-                           (Symbol.name c.r_sym);
-                       Usage.cross_sym usage ~from_instance:inst.Instance.id
-                         ~rel_sym:c.r_rel_sym ~to_instance:j;
-                       fetch_opt inst.Instance.id j c.r_slot)
-              | _ -> find (i + 1)
-          in
-          find 0
-        in
-        { Schema.self_value; related_values }
+        let id = inst.Instance.id in
+        {
+          Schema.self_value =
+            (fun b ->
+              let slot = self_source cr inst b in
+              try fetch id id slot with Skip -> (Instance.slot_ix inst slot).Instance.value);
+          related_values =
+            (fun r name -> related_values t.store cr inst (rel_source cr inst r name) (fetch id));
+        }
       in
       let sweeps = ref 0 in
       let stable = ref false in
@@ -616,7 +767,7 @@ let solve_fixpoint t ~max_iters frames waiters =
             s.Instance.state <- Instance.Up_to_date;
             Store.notify_write t.store e.e_inst.Instance.id e.e_si.Schema.si_name
               s.Instance.value;
-            Hashtbl.remove t.pending_important e.e_key;
+            Itbl.remove t.pending_important e.e_key;
             record_constraint_check t e.e_inst e.e_si s.Instance.value)
           entries;
         Ctx.span "fixpoint" ~start_ns !sweeps
@@ -624,215 +775,221 @@ let solve_fixpoint t ~max_iters frames waiters =
       converged
     end
 
-let run_eval_inner t roots =
-  let sched = Sched.create t.sched t.store in
-  let frames : (int, frame) Hashtbl.t = Hashtbl.create 32 in
-  let waiters : (int, frame list ref) Hashtbl.t = Hashtbl.create 32 in
-  let misses () = !(t.c_misses) in
-  let demand_cost via j =
-    if Store.resident t.store j then 0.0
-    else
-      match via with
-      | Some (i, rsym) -> Decaying_avg.value (Store.link_tag_sym t.store i rsym)
-      | None -> 1.0
-  in
-  let schedule_demand ~parent ~via j jx =
-    (match parent with Some p -> p.f_pending <- p.f_pending + 1 | None -> ());
-    Sched.schedule sched ~instance:j ~cost:(demand_cost via j)
-      (Demand { d_id = j; d_ix = jx; d_parent = parent; d_via = via })
-  in
-  let add_waiter key frame =
-    match Hashtbl.find_opt waiters key with
-    | Some r -> r := frame :: !r
-    | None -> Hashtbl.add waiters key (ref [ frame ])
-  in
-  let schedule_finish frame = Sched.schedule sched ~instance:frame.f_id ~cost:0.0 (Finish frame) in
-  let notify frame =
-    frame.f_pending <- frame.f_pending - 1;
-    if frame.f_pending = 0 then schedule_finish frame
-  in
-  let notify_waiters key =
-    match Hashtbl.find_opt waiters key with
-    | None -> ()
-    | Some r ->
-      let ws = !r in
-      Hashtbl.remove waiters key;
-      List.iter notify ws
-  in
-  (* Enumerate the out-of-date derived sources of the frame's attribute,
-     demanding each. *)
-  let open_frame frame (inst : Instance.t) =
-    let cr = rule_of_si inst (slot_info inst frame.f_ix) in
-    let demand_source j jx via =
-      let jinst = Store.get t.store j in
-      let jsi = slot_info jinst jx in
-      if jsi.Schema.si_derived then begin
-        let s = Instance.slot_ix jinst jx in
-        match s.Instance.state with
-        | Instance.Up_to_date -> ()
-        | Instance.Out_of_date | Instance.In_progress ->
-          schedule_demand ~parent:(Some frame) ~via j jx
+(* ------------------------------------------------------------------ *)
+(* Demand-driven evaluation phase (chunked)                            *)
+
+let demand_cost t via_i via_sym j =
+  if Store.resident t.store j then 0.0
+  else if via_i >= 0 then Decaying_avg.value (Store.link_tag_sym t.store via_i via_sym)
+  else 1.0
+
+let schedule_demand t ws ~parent ~via_i ~via_sym j jx =
+  if parent >= 0 then ws.f_pending.(parent) <- ws.f_pending.(parent) + 1;
+  let e = Sched.schedule ws.chunks ~instance:j ~cost:(demand_cost t via_i via_sym j) in
+  ensure_entry ws e;
+  ws.e_frame.(e) <- -1;
+  ws.e_id.(e) <- j;
+  ws.e_ix.(e) <- jx;
+  ws.e_parent.(e) <- parent;
+  ws.e_via_i.(e) <- via_i;
+  ws.e_via_sym.(e) <- via_sym
+
+let schedule_finish ws f =
+  let e = Sched.schedule ws.chunks ~instance:ws.f_id.(f) ~cost:0.0 in
+  ensure_entry ws e;
+  ws.e_frame.(e) <- f
+
+let notify ws f =
+  ws.f_pending.(f) <- ws.f_pending.(f) - 1;
+  if ws.f_pending.(f) = 0 then schedule_finish ws f
+
+let add_waiter ws key f =
+  let k = ws.nnodes in
+  if k = Array.length ws.w_frame then begin
+    ws.w_frame <- grow_int ws.w_frame k 0;
+    ws.w_next <- grow_int ws.w_next k 0
+  end;
+  ws.w_frame.(k) <- f;
+  ws.w_next.(k) <- Itbl.find ws.waiters key ~default:(-1);
+  Itbl.replace ws.waiters key k;
+  ws.nnodes <- k + 1
+
+(* Wake the frames waiting on [key], newest first. *)
+let notify_waiters ws key =
+  let head = Itbl.find ws.waiters key ~default:(-1) in
+  if head >= 0 then begin
+    Itbl.remove ws.waiters key;
+    let k = ref head in
+    while !k >= 0 do
+      let next = ws.w_next.(!k) in
+      notify ws ws.w_frame.(!k);
+      k := next
+    done
+  end
+
+let new_frame ws ~id ~ix ~sym ~parent ~via_i ~via_sym =
+  let f = ws.nframes in
+  if f = Array.length ws.f_id then begin
+    ws.f_id <- grow_int ws.f_id f 0;
+    ws.f_ix <- grow_int ws.f_ix f 0;
+    ws.f_sym <- grow_int ws.f_sym f 0;
+    ws.f_pending <- grow_int ws.f_pending f 0;
+    ws.f_parent <- grow_int ws.f_parent f 0;
+    ws.f_via_i <- grow_int ws.f_via_i f 0;
+    ws.f_via_sym <- grow_int ws.f_via_sym f 0;
+    let cost = Array.make (Array.length ws.f_id) 0.0 in
+    Array.blit ws.f_cost 0 cost 0 f;
+    ws.f_cost <- cost
+  end;
+  ws.f_id.(f) <- id;
+  ws.f_ix.(f) <- ix;
+  ws.f_sym.(f) <- sym;
+  ws.f_pending.(f) <- 0;
+  ws.f_parent.(f) <- parent;
+  ws.f_via_i.(f) <- via_i;
+  ws.f_via_sym.(f) <- via_sym;
+  ws.f_cost.(f) <- 0.0;
+  ws.nframes <- f + 1;
+  f
+
+(* Demand the out-of-date derived source [jx] of [j] for frame [f]. *)
+let demand_source t ws f j jx via_i via_sym =
+  let jinst = Store.get t.store j in
+  if (slot_info jinst jx).Schema.si_derived then
+    match (Instance.slot_ix jinst jx).Instance.state with
+    | Instance.Up_to_date -> ()
+    | Instance.Out_of_date | Instance.In_progress ->
+      schedule_demand t ws ~parent:f ~via_i ~via_sym j jx
+
+(* Enumerate the out-of-date derived sources of the frame's attribute,
+   demanding each. *)
+let open_frame t ws f (inst : Instance.t) =
+  let id = ws.f_id.(f) in
+  let srcs = (rule_of_si inst (slot_info inst ws.f_ix.(f))).Schema.cr_sources in
+  for k = 0 to Array.length srcs - 1 do
+    match srcs.(k) with
+    | Schema.C_self { s_slot; _ } -> demand_source t ws f id s_slot (-1) 0
+    | Schema.C_rel c ->
+      let l = Instance.links_ix inst c.r_link in
+      for m = 0 to l.Instance.n - 1 do
+        if c.r_slot < 0 then
+          Errors.unknown "type %s has no attribute %s" c.r_target (Symbol.name c.r_sym);
+        demand_source t ws f l.Instance.ids.(m) c.r_slot id c.r_rel_sym
+      done
+  done
+
+let finish t ws f =
+  let id = ws.f_id.(f) and ix = ws.f_ix.(f) in
+  let key = Symbol.pack id ws.f_sym.(f) in
+  match Store.get_opt t.store id with
+  | None ->
+    Itbl.remove ws.frames key;
+    notify_waiters ws key
+  | Some inst ->
+    let before = !(t.c_misses) in
+    Store.touch t.store id;
+    let si = slot_info inst ix in
+    let cr = rule_of_si inst si in
+    ws.cur_id <- id;
+    ws.cur_ix <- ix;
+    let v = cr.Schema.cr_rule.Schema.compute ws.env in
+    incr t.c_rule_evals;
+    (match t.prof with Some p -> Profile.on_eval p ~key | None -> ());
+    let s = Instance.slot_ix inst ix in
+    s.Instance.value <- v;
+    s.Instance.state <- Instance.Up_to_date;
+    Store.notify_write t.store id si.Schema.si_name v;
+    Itbl.remove t.pending_important key;
+    Itbl.remove ws.frames key;
+    record_constraint_check t inst si v;
+    ws.f_cost.(f) <- ws.f_cost.(f) +. float_of_int (!(t.c_misses) - before);
+    (* Self-adaptive statistics: the link that requested this value
+       learns what the request actually cost (§2.3). *)
+    let via_i = ws.f_via_i.(f) in
+    if via_i >= 0 && Store.mem t.store via_i then
+      Decaying_avg.observe (Store.link_tag_sym t.store via_i ws.f_via_sym.(f)) ws.f_cost.(f);
+    let p = ws.f_parent.(f) in
+    if p >= 0 then ws.f_cost.(p) <- ws.f_cost.(p) +. ws.f_cost.(f);
+    notify_waiters ws key
+
+let run_demand t ws id ix parent via_i via_sym =
+  match Store.get_opt t.store id with
+  | None -> if parent >= 0 then notify ws parent
+  | Some inst -> (
+    let s = Instance.slot_ix inst ix in
+    let si = slot_info inst ix in
+    let key = Symbol.pack id si.Schema.si_sym in
+    match s.Instance.state with
+    | Instance.Up_to_date -> if parent >= 0 then notify ws parent
+    | Instance.In_progress ->
+      (* A frame already exists; wait for it. *)
+      if parent >= 0 then add_waiter ws key parent
+    | Instance.Out_of_date ->
+      if not si.Schema.si_derived then begin
+        settle_intrinsic si s;
+        if parent >= 0 then notify ws parent
       end
-    in
-    Array.iter
-      (function
-        | Schema.C_self { s_slot; _ } -> demand_source frame.f_id s_slot None
-        | Schema.C_rel c ->
-          Instance.iter_linked inst c.r_link (fun j ->
-              if c.r_slot < 0 then
-                Errors.unknown "type %s has no attribute %s" c.r_target (Symbol.name c.r_sym);
-              demand_source j c.r_slot (Some (frame.f_id, c.r_rel_sym))))
-      cr.Schema.cr_sources
-  in
-  let finish frame =
-    let key = Symbol.pack frame.f_id frame.f_sym in
-    match Store.get_opt t.store frame.f_id with
-    | None ->
-      Hashtbl.remove frames key;
-      notify_waiters key
-    | Some inst ->
-      let before = misses () in
-      Store.touch t.store frame.f_id;
-      let si = slot_info inst frame.f_ix in
-      let cr = rule_of_si inst si in
-      let fetch_value j jx =
-        let jinst = Store.get t.store j in
-        if j <> frame.f_id then Store.touch t.store j;
-        let s = Instance.slot_ix jinst jx in
-        (match s.Instance.state with
-        | Instance.Up_to_date -> ()
-        | Instance.Out_of_date | Instance.In_progress -> (
-          (* All derived sources were demanded and completed before this
-             Finish was scheduled; an out-of-date source here is a
-             lazily-created intrinsic slot (schema extension). *)
-          match (slot_info jinst jx).Schema.si_def.Schema.kind with
-          | Schema.Intrinsic default ->
-            s.Instance.value <- default;
-            s.Instance.state <- Instance.Up_to_date
-          | Schema.Derived _ -> assert false));
-        s.Instance.value
-      in
-      let env = build_env t cr inst ~fetch_value in
-      let v = cr.Schema.cr_rule.Schema.compute env in
-      incr t.c_rule_evals;
-      (match t.prof with Some p -> Profile.on_eval p ~key | None -> ());
-      let s = Instance.slot_ix inst frame.f_ix in
-      s.Instance.value <- v;
-      s.Instance.state <- Instance.Up_to_date;
-      Store.notify_write t.store frame.f_id si.Schema.si_name v;
-      Hashtbl.remove t.pending_important key;
-      Hashtbl.remove frames key;
-      record_constraint_check t inst si v;
-      frame.f_cost <- frame.f_cost +. float_of_int (misses () - before);
-      (* Self-adaptive statistics: the link that requested this value
-         learns what the request actually cost (§2.3). *)
-      (match frame.f_via with
-      | Some (i, rsym) ->
-        if Store.mem t.store i then
-          Decaying_avg.observe (Store.link_tag_sym t.store i rsym) frame.f_cost
-      | None -> ());
-      (match frame.f_parent with Some p -> p.f_cost <- p.f_cost +. frame.f_cost | None -> ());
-      notify_waiters key
-  in
-  let run_demand d_id d_ix d_parent d_via =
-    match Store.get_opt t.store d_id with
-    | None -> (match d_parent with Some p -> notify p | None -> ())
-    | Some inst -> (
-      let s = Instance.slot_ix inst d_ix in
-      let si = slot_info inst d_ix in
-      let key = Symbol.pack d_id si.Schema.si_sym in
-      match s.Instance.state with
-      | Instance.Up_to_date -> ( match d_parent with Some p -> notify p | None -> ())
-      | Instance.In_progress -> (
-        (* A frame already exists; wait for it. *)
-        match d_parent with
-        | Some p -> add_waiter key p
-        | None -> ())
-      | Instance.Out_of_date ->
-        if not si.Schema.si_derived then begin
-          (match si.Schema.si_def.Schema.kind with
-          | Schema.Intrinsic default ->
-            s.Instance.value <- default;
-            s.Instance.state <- Instance.Up_to_date
-          | Schema.Derived _ -> assert false);
-          match d_parent with Some p -> notify p | None -> ()
-        end
-        else begin
-          let before = misses () in
-          Store.touch t.store d_id;
-          incr t.c_demand_procs;
-          let frame =
-            {
-              f_id = d_id;
-              f_ix = d_ix;
-              f_sym = si.Schema.si_sym;
-              f_pending = 0;
-              f_cost = float_of_int 0;
-              f_parent = d_parent;
-              f_via = d_via;
-            }
-          in
-          Hashtbl.add frames key frame;
-          (* The parent's pending (incremented at demand time) is settled
-             by the waiter notification when this frame finishes. *)
-          (match d_parent with Some p -> add_waiter key p | None -> ());
-          s.Instance.state <- Instance.In_progress;
-          open_frame frame inst;
-          frame.f_cost <- frame.f_cost +. float_of_int (misses () - before);
-          if frame.f_pending = 0 then schedule_finish frame
-        end)
-  in
-  List.iter (fun (id, ix) -> schedule_demand ~parent:None ~via:None id ix) roots;
-  let rec loop () =
-    match Sched.next sched with
-    | None -> ()
-    | Some (Demand { d_id; d_ix; d_parent; d_via }) ->
-      incr t.c_eval_procs;
-      run_demand d_id d_ix d_parent d_via;
-      loop ()
-    | Some (Finish frame) ->
-      incr t.c_eval_procs;
-      finish frame;
-      loop ()
-  in
-  let restore_open_frames () =
-    (* A rule raising mid-run must not leave slots In_progress. *)
-    Hashtbl.iter
-      (fun _ frame ->
-        match Store.get_opt t.store frame.f_id with
-        | Some inst ->
-          let s = Instance.slot_ix inst frame.f_ix in
-          if s.Instance.state = Instance.In_progress then s.Instance.state <- Instance.Out_of_date
-        | None -> ())
-      frames
-  in
-  (try loop ()
+      else begin
+        let before = !(t.c_misses) in
+        Store.touch t.store id;
+        incr t.c_demand_procs;
+        let f = new_frame ws ~id ~ix ~sym:si.Schema.si_sym ~parent ~via_i ~via_sym in
+        Itbl.replace ws.frames key f;
+        (* The parent's pending (incremented at demand time) is settled
+           by the waiter notification when this frame finishes. *)
+        if parent >= 0 then add_waiter ws key parent;
+        s.Instance.state <- Instance.In_progress;
+        open_frame t ws f inst;
+        ws.f_cost.(f) <- ws.f_cost.(f) +. float_of_int (!(t.c_misses) - before);
+        if ws.f_pending.(f) = 0 then schedule_finish ws f
+      end)
+
+let rec eval_loop t ws =
+  let e = Sched.next ws.chunks in
+  if e >= 0 then begin
+    incr t.c_eval_procs;
+    let f = ws.e_frame.(e) in
+    if f >= 0 then finish t ws f
+    else run_demand t ws ws.e_id.(e) ws.e_ix.(e) ws.e_parent.(e) ws.e_via_i.(e) ws.e_via_sym.(e);
+    eval_loop t ws
+  end
+
+(* Set the open frames' slots back to [Out_of_date], so neither a rule
+   raising mid-run nor a cycle leaves them in progress.  (A failed
+   fixed-point attempt may have clobbered values with partial iterates;
+   Out_of_date makes them dead.) *)
+let restore_open_frames t ws =
+  Itbl.iter
+    (fun _ f ->
+      match Store.get_opt t.store ws.f_id.(f) with
+      | Some inst ->
+        let s = Instance.slot_ix inst ws.f_ix.(f) in
+        if s.Instance.state = Instance.In_progress then s.Instance.state <- Instance.Out_of_date
+      | None -> ())
+    ws.frames
+
+let run_eval_inner t roots ws =
+  List.iter
+    (fun (id, ix) -> schedule_demand t ws ~parent:(-1) ~via_i:(-1) ~via_sym:0 id ix)
+    roots;
+  (try eval_loop t ws
    with e ->
-     restore_open_frames ();
+     restore_open_frames t ws;
      raise e);
   (* Any frame still pending after the scheduler drained is waiting on a
      value that can never arrive: a dependency cycle. *)
-  let stuck = Hashtbl.fold (fun _ frame acc -> frame :: acc) frames [] in
-  if stuck <> [] then begin
+  if Itbl.length ws.frames > 0 then begin
     let solved =
       match t.fixpoint with
-      | Some max_iters -> solve_fixpoint t ~max_iters frames waiters
+      | Some max_iters -> solve_fixpoint t ~max_iters ws
       | None -> false
     in
     if not solved then begin
-      (* Restore the stuck slots so the database is not left in
-         progress.  (A failed fixed-point attempt may have clobbered
-         values with partial iterates; Out_of_date makes them dead.) *)
-      List.iter
-        (fun frame ->
-          match Store.get_opt t.store frame.f_id with
-          | Some inst ->
-            (Instance.slot_ix inst frame.f_ix).Instance.state <- Instance.Out_of_date
-          | None -> ())
-        stuck;
-      raise
-        (Errors.Cycle
-           (List.sort compare (List.map (fun f -> (f.f_id, Symbol.name f.f_sym)) stuck)))
+      let stuck =
+        Itbl.fold (fun _ f acc -> (ws.f_id.(f), Symbol.name ws.f_sym.(f)) :: acc) ws.frames []
+      in
+      restore_open_frames t ws;
+      raise (Errors.Cycle (List.sort compare stuck))
     end
   end
 
@@ -843,7 +1000,7 @@ let run_eval t roots =
     let evals0 = !(t.c_rule_evals) in
     Ctx.time ~h:t.h_eval_wave "eval_wave"
       ~count:(fun () -> !(t.c_rule_evals) - evals0)
-      (fun () -> run_eval_inner t roots)
+      (fun () -> with_wave t (run_eval_inner t roots))
   end
 
 (* ------------------------------------------------------------------ *)
@@ -920,7 +1077,7 @@ let invalidate_all t =
               (Instance.slot_ix inst ix).Instance.state <- Instance.Out_of_date;
               Store.notify_mark t.store id si.Schema.si_name;
               if important_si t id si then
-                Hashtbl.replace t.pending_important (Symbol.pack id si.Schema.si_sym) ()
+                Itbl.replace t.pending_important (Symbol.pack id si.Schema.si_sym) 1
             end)
           lay.Schema.lay_slots)
     (Store.instance_ids t.store)
@@ -960,7 +1117,7 @@ let rec fire_trigger t tgt =
       if ksi.Schema.si_derived && s.Instance.state <> Instance.Up_to_date then eval_rec t [] k kx
       else s.Instance.value
     in
-    let env = build_env t cr inst ~fetch_value in
+    let env = build_env t.store cr inst ~fetch_value in
     let v = cr.Schema.cr_rule.Schema.compute env in
     incr t.c_rule_evals;
     (match t.prof with
@@ -1040,7 +1197,7 @@ let on_new_instance t id =
       Array.iter
         (fun (si : Schema.slot_info) ->
           if si.Schema.si_constrained then
-            Hashtbl.replace t.pending_important (Symbol.pack id si.Schema.si_sym) ())
+            Itbl.replace t.pending_important (Symbol.pack id si.Schema.si_sym) 1)
         lay.Schema.lay_slots
     | Eager_triggers | Recompute_all ->
       Array.iteri
@@ -1049,15 +1206,21 @@ let on_new_instance t id =
         lay.Schema.lay_slots;
       handle_violations t)
 
+(* Every watch or pending key of an instance names one of its layout's
+   slots ([watch] rejects anything else, retracted attributes are purged
+   by [after_attr_retracted]), so purging walks the slots: O(slots). *)
 let on_delete_instance t id =
-  let purge tbl =
-    let stale =
-      Hashtbl.fold (fun k _ acc -> if Symbol.pack_id k = id then k :: acc else acc) tbl []
-    in
-    List.iter (Hashtbl.remove tbl) stale
-  in
-  purge t.watched;
-  purge t.pending_important
+  match Store.get_opt t.store id with
+  | None -> ()
+  | Some inst ->
+    let lay = inst.Instance.layout in
+    Schema.refresh_layout lay;
+    Array.iter
+      (fun (si : Schema.slot_info) ->
+        let key = Symbol.pack id si.Schema.si_sym in
+        Itbl.remove t.watched key;
+        Itbl.remove t.pending_important key)
+      lay.Schema.lay_slots
 
 let after_attr_added t ~type_name ~attr =
   let def = Schema.attr (schema t) ~type_name attr in
@@ -1077,7 +1240,7 @@ let after_attr_added t ~type_name ~attr =
           | Schema.Derived _ ->
             s.Instance.state <- Instance.Out_of_date;
             if important_si t id (slot_info inst ix) then
-              Hashtbl.replace t.pending_important (Symbol.pack id (Symbol.intern attr)) ())))
+              Itbl.replace t.pending_important (Symbol.pack id (Symbol.intern attr)) 1)))
     (Store.instances_of_type t.store type_name)
 
 let after_attr_retracted t ~type_name ~attr =
@@ -1092,8 +1255,8 @@ let after_attr_retracted t ~type_name ~attr =
   List.iter
     (fun id ->
       let key = Symbol.pack id sym in
-      Hashtbl.remove t.watched key;
-      Hashtbl.remove t.pending_important key)
+      Itbl.remove t.watched key;
+      Itbl.remove t.pending_important key)
     (Store.instances_of_type t.store type_name)
 
 (* ------------------------------------------------------------------ *)
@@ -1118,7 +1281,7 @@ let read t ?(watch = true) id a =
     else begin
       (* "If the user explicitly requests the value of attributes (i.e.
          makes a query) they become important" (§2.2). *)
-      if watch then Hashtbl.replace t.watched (Symbol.pack id si.Schema.si_sym) ();
+      if watch then Itbl.replace t.watched (Symbol.pack id si.Schema.si_sym) 1;
       let s = Instance.slot_ix inst ix in
       (match s.Instance.state with
       | Instance.Up_to_date -> ()
@@ -1138,8 +1301,8 @@ let read t ?(watch = true) id a =
    implementation (deterministic counters). *)
 let pending_roots t =
   let roots =
-    Hashtbl.fold
-      (fun key () acc ->
+    Itbl.fold
+      (fun key _ acc ->
         let id = Symbol.pack_id key and sym = Symbol.pack_sym key in
         match Store.get_opt t.store id with
         | None -> acc
@@ -1159,7 +1322,7 @@ let propagate t =
   match t.strategy with
   | Cactis ->
     let roots = pending_roots t in
-    Hashtbl.reset t.pending_important;
+    Itbl.clear t.pending_important;
     if roots <> [] then
       Ctx.time ~h:t.h_propagate "propagate"
         ~count:(fun () -> List.length roots)
@@ -1168,11 +1331,11 @@ let propagate t =
           handle_violations t)
   | Eager_triggers | Recompute_all ->
     let roots = pending_roots t in
-    Hashtbl.reset t.pending_important;
+    Itbl.clear t.pending_important;
     List.iter (fun (id, _, ix) -> ignore (eval_rec t [] id ix)) roots;
     handle_violations t
 
-let pending_important_count t = Hashtbl.length t.pending_important
+let pending_important_count t = Itbl.length t.pending_important
 
 (* ------------------------------------------------------------------ *)
 (* Oracle: reference semantics with no caching and no I/O accounting   *)

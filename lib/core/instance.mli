@@ -78,6 +78,10 @@ val find_link : t -> string -> int option
 
 val slot_ix : t -> int -> slot
 val linked_ix : t -> int -> int list
+
+(** [links_ix t ix] — the link vector itself (engine hot paths walk
+    [ids.(0 .. n-1)] without building a list or a closure). *)
+val links_ix : t -> int -> links
 val iter_linked : t -> int -> (int -> unit) -> unit
 val link_count_ix : t -> int -> int
 val add_link_ix : t -> int -> int -> unit

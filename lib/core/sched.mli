@@ -24,22 +24,38 @@ type strategy =
           queue or block promotion *)
   | Greedy
 
-type 'a t
+(** A scheduler holds the pending chunks of one traversal wave.  Chunks
+    are identified by {e entry numbers} 0, 1, 2, ... in schedule order;
+    the caller keeps each chunk's payload in its own arrays indexed by
+    entry number.  Entries, queues and per-block lists are
+    struct-of-arrays kept across waves: {!reset} empties them, and a
+    wave allocates nothing once the arrays have grown to its size. *)
+type t
 
 (** [create strategy store] builds an empty scheduler consulting [store]
     for residency and block placement. *)
-val create : strategy -> Store.t -> 'a t
+val create : strategy -> Store.t -> t
 
-(** [schedule t ~instance ~cost payload] enqueues a chunk associated with
-    [instance]; [cost] is its expected disk I/O if the instance is not
-    resident (ignored under [Fifo]). *)
-val schedule : 'a t -> instance:int -> cost:float -> 'a -> unit
+val strategy : t -> strategy
 
-(** [next t] pops the chunk to run, or [None] when drained.  Under
-    [Greedy], popping a chunk for a non-resident instance promotes the
-    other pending chunks that live on the same block (they will be free
-    once the caller touches the instance and loads the block). *)
-val next : 'a t -> 'a option
+(** [reset t] drops every pending chunk and restarts entry numbering at
+    0, keeping the arrays for the next wave. *)
+val reset : t -> unit
 
-val pending : 'a t -> int
-val is_empty : 'a t -> bool
+(** [schedule t ~instance ~cost] enqueues a chunk associated with
+    [instance] and returns its entry number; [cost] is its expected
+    disk I/O if the instance is not resident (ignored under [Fifo]). *)
+val schedule : t -> instance:int -> cost:float -> int
+
+(** [next t] pops the entry number of the chunk to run, or [-1] when
+    drained.  Under [Greedy], popping a chunk for a non-resident
+    instance promotes the other pending chunks that live on the same
+    block (they will be free once the caller touches the instance and
+    loads the block), newest first. *)
+val next : t -> int
+
+(** Chunks scheduled since the last {!reset} (the wave's size). *)
+val scheduled : t -> int
+
+val pending : t -> int
+val is_empty : t -> bool

@@ -4,12 +4,18 @@ module Cluster = Cactis_storage.Cluster
 module Counters = Cactis_util.Counters
 module Decaying_avg = Cactis_util.Decaying_avg
 module Symbol = Cactis_util.Symbol
+module Itbl = Cactis_util.Itbl
 
 type t = {
   schema : Schema.t;
-  instances : (int, Instance.t) Hashtbl.t;
+  (* Dense instance table indexed by id (ids are allocated densely and
+     never reused, as [Pager]'s placement array already assumes).  Each
+     live entry holds the [Some] cell allocated once at creation, so
+     [get_opt] is a bounds check plus a load and allocates nothing. *)
+  mutable instances : Instance.t option array;
+  mutable live : int;
   mutable next_id : int;
-  mutable ids_cache : int list option;  (* sorted live ids, invalidated on create/delete *)
+  mutable ids_cache : int list option;  (* ascending live ids, invalidated on create/delete *)
   pager : Pager.t;
   usage : Usage.t;
   counters : Counters.t;
@@ -18,7 +24,10 @@ type t = {
   c_misses : int ref;
   c_slot_writes : int ref;
   c_links : int ref;
-  link_tags : (int, Decaying_avg.t) Hashtbl.t;  (* packed (id, rel symbol) *)
+  (* Per-link cost tags, created lazily: packed (id, rel symbol) ->
+     index into [tags]. *)
+  link_tags : Itbl.t;
+  mutable tags : Decaying_avg.t array;
   (* Incremental re-clustering plan: (id, target block) moves not yet
      applied.  [plan_pos] is the cursor; the plan is drained by
      {!recluster_step}. *)
@@ -34,7 +43,8 @@ let create ?block_capacity ?buffer_capacity ?disk_path ?disk_block_bytes schema 
   let counters = Counters.create () in
   {
     schema;
-    instances = Hashtbl.create 256;
+    instances = Array.make 256 None;
+    live = 0;
     next_id = 1;
     ids_cache = Some [];
     pager = Pager.create ?block_capacity ?buffer_capacity ?disk_path ?disk_block_bytes ();
@@ -45,7 +55,8 @@ let create ?block_capacity ?buffer_capacity ?disk_path ?disk_block_bytes schema 
     c_misses = Counters.cell counters "block_misses";
     c_slot_writes = Counters.cell counters "slot_writes";
     c_links = Counters.cell counters "links_established";
-    link_tags = Hashtbl.create 256;
+    link_tags = Itbl.create 256;
+    tags = [||];
     plan = [||];
     plan_pos = 0;
     write_observers = [];
@@ -58,8 +69,13 @@ let subscribe_write t f = t.write_observers <- f :: t.write_observers
 let subscribe_create t f = t.create_observers <- f :: t.create_observers
 let subscribe_delete t f = t.delete_observers <- f :: t.delete_observers
 let subscribe_mark t f = t.mark_observers <- f :: t.mark_observers
-let notify_mark t id attr = List.iter (fun f -> f id attr) t.mark_observers
-let notify_write t id attr v = List.iter (fun f -> f id attr v) t.write_observers
+(* The closures are built only when someone listens: the engine calls
+   these once per mark visit and per evaluation. *)
+let notify_mark t id attr =
+  match t.mark_observers with [] -> () | fs -> List.iter (fun f -> f id attr) fs
+
+let notify_write t id attr v =
+  match t.write_observers with [] -> () | fs -> List.iter (fun f -> f id attr v) fs
 
 let schema t = t.schema
 let pager t = t.pager
@@ -69,20 +85,30 @@ let obs t = t.obs
 
 let link_tag_sym t id rel_sym =
   let key = Symbol.pack id rel_sym in
-  match Hashtbl.find_opt t.link_tags key with
-  | Some tag -> tag
-  | None ->
+  let i = Itbl.find t.link_tags key ~default:(-1) in
+  if i >= 0 then t.tags.(i)
+  else begin
     (* Worst-case initial estimate: one block per crossing. *)
     let tag = Decaying_avg.create ~initial:1.0 () in
-    Hashtbl.add t.link_tags key tag;
+    let i = Itbl.length t.link_tags in
+    if i = Array.length t.tags then begin
+      let bigger = Array.make (max 64 (2 * i)) tag in
+      Array.blit t.tags 0 bigger 0 i;
+      t.tags <- bigger
+    end;
+    t.tags.(i) <- tag;
+    Itbl.replace t.link_tags key i;
     tag
+  end
 
 let link_tag t id rel = link_tag_sym t id (Symbol.intern rel)
 
 let get_opt t id =
-  match Hashtbl.find_opt t.instances id with
-  | Some inst when inst.Instance.alive -> Some inst
-  | Some _ | None -> None
+  if id < 0 || id >= Array.length t.instances then None
+  else
+    match t.instances.(id) with
+    | Some inst as found when inst.Instance.alive -> found
+    | Some _ | None -> None
 
 let get t id =
   match get_opt t id with
@@ -91,13 +117,23 @@ let get t id =
 
 let mem t id = get_opt t id <> None
 
+let install t id inst =
+  let n = Array.length t.instances in
+  if id >= n then begin
+    let bigger = Array.make (max (id + 1) (2 * n)) None in
+    Array.blit t.instances 0 bigger 0 n;
+    t.instances <- bigger
+  end;
+  t.instances.(id) <- Some inst;
+  t.live <- t.live + 1;
+  t.ids_cache <- None
+
 let create_instance t type_name =
   let layout = Schema.layout t.schema type_name in
   let id = t.next_id in
   t.next_id <- id + 1;
   let inst = Instance.create ~id ~layout in
-  Hashtbl.replace t.instances id inst;
-  t.ids_cache <- None;
+  install t id inst;
   Pager.register t.pager id;
   Counters.incr t.counters "instances_created";
   List.iter (fun f -> f id) t.create_observers;
@@ -110,8 +146,7 @@ let recreate_instance t ~id type_name =
   if mem t id then Errors.type_error "instance %d already live" id;
   let layout = Schema.layout t.schema type_name in
   let inst = Instance.create ~id ~layout in
-  Hashtbl.replace t.instances id inst;
-  t.ids_cache <- None;
+  install t id inst;
   Pager.register t.pager id;
   if id >= t.next_id then t.next_id <- id + 1;
   List.iter (fun f -> f id) t.create_observers;
@@ -123,28 +158,33 @@ let delete_instance t id =
     Errors.type_error "instance %d still has links; break them before deleting" id;
   List.iter (fun f -> f id) t.delete_observers;
   inst.Instance.alive <- false;
-  Hashtbl.remove t.instances id;
+  t.instances.(id) <- None;
+  t.live <- t.live - 1;
   t.ids_cache <- None;
   Pager.forget t.pager id;
   Usage.forget_instance t.usage id;
   Counters.incr t.counters "instances_deleted"
 
+(* Live ids satisfying [keep], ascending: a walk down the dense table. *)
+let ids_where t keep =
+  let acc = ref [] in
+  for id = Array.length t.instances - 1 downto 0 do
+    match t.instances.(id) with Some inst when keep inst -> acc := id :: !acc | Some _ | None -> ()
+  done;
+  !acc
+
 let instance_ids t =
   match t.ids_cache with
   | Some ids -> ids
   | None ->
-    let ids = Hashtbl.fold (fun id _ acc -> id :: acc) t.instances [] |> List.sort compare in
+    let ids = ids_where t (fun _ -> true) in
     t.ids_cache <- Some ids;
     ids
 
-let instance_count t = Hashtbl.length t.instances
+let instance_count t = t.live
 
 let instances_of_type t type_name =
-  Hashtbl.fold
-    (fun id (inst : Instance.t) acc ->
-      if String.equal inst.type_name type_name then id :: acc else acc)
-    t.instances []
-  |> List.sort compare
+  ids_where t (fun (inst : Instance.t) -> String.equal inst.Instance.type_name type_name)
 
 let touch t id =
   Usage.touch_instance t.usage id;
@@ -295,16 +335,17 @@ let usage_snapshot t =
    estimates for the decaying averages (§2.3): a link whose two ends now
    share a block costs 0 extra blocks in the worst case, 1 otherwise. *)
 let reseed_link_tags t =
-  Hashtbl.iter
-    (fun key tag ->
+  Itbl.iter
+    (fun key i ->
+      let tag = t.tags.(i) in
       let id = Symbol.pack_id key in
       let rel = Symbol.name (Symbol.pack_sym key) in
       match get_opt t id with
       | None -> ()
       | Some inst ->
         let same_block other =
-          Pager.block_of t.pager id <> None
-          && Pager.block_of t.pager id = Pager.block_of t.pager other
+          Pager.block t.pager id >= 0
+          && Pager.block t.pager id = Pager.block t.pager other
         in
         let neighbours = Instance.linked inst rel in
         let worst =
@@ -338,7 +379,7 @@ let begin_recluster ?(strategy = Cluster.Greedy) t =
   let base =
     1
     + List.fold_left
-        (fun acc id -> match Pager.block_of t.pager id with Some b -> max acc b | None -> acc)
+        (fun acc id -> max acc (Pager.block t.pager id))
         (-1) (instance_ids t)
   in
   let moves =

@@ -1,11 +1,18 @@
-(* Per-domain rings behind domain-local storage: the hot path is one
-   flag load, one DLS load, a 5-word record allocation and a slot store
-   published through an atomic write index.  The snapshot side relies on
-   two facts: slots hold immutable boxed records (a concurrent slot read
-   yields some previously stored record, never a torn one), and the
-   writer stores the slot *before* bumping the atomic index, so the
-   reader can bound which entries a concurrent writer may have been
-   recycling and trim exactly those. *)
+(* Per-domain rings behind domain-local storage.  A ring slot is four
+   parallel int arrays (timestamp, kind tag, [a], [b]) plus a detail
+   array of shared strings, so the hot path is one flag load, one DLS
+   load, five array stores and an atomic write-index bump: no
+   allocation.  [snapshot] builds the event records itself.
+
+   A slot spans several words, so a reader copying it while its writer
+   reuses it could mix two events.  Two rules keep snapshots tear-free:
+   the writer stores every word of a slot *before* the atomic bump that
+   publishes it, and the reader, which copies the ring between two
+   reads of the index (w before, w2 after), drops every copied entry e
+   with e + capacity <= w2 -- exactly the entries whose slots a writer
+   may have been storing (events w .. w2) during the copy.  Every entry
+   kept was therefore stored, whole, before the first index read and
+   untouched until after the second. *)
 
 type kind =
   | Txn_begin
@@ -88,15 +95,17 @@ type event = {
   fe_detail : string;
 }
 
-let dummy = { fe_ts_ns = 0L; fe_kind = Note; fe_a = 0; fe_b = 0; fe_detail = "" }
-
 let capacity = 4096
 let mask = capacity - 1
 
 type ring = {
   r_domain : int;
   mutable r_name : string;
-  slots : event array;
+  ts : int array;  (* monotonic ns *)
+  tag : int array;  (* [kind_tag] *)
+  va : int array;
+  vb : int array;
+  detail : string array;
   written : int Atomic.t;  (* events ever recorded; slot = written land mask *)
 }
 
@@ -110,7 +119,11 @@ let key =
         {
           r_domain = (Domain.self () :> int);
           r_name = "";
-          slots = Array.make capacity dummy;
+          ts = Array.make capacity 0;
+          tag = Array.make capacity 0;
+          va = Array.make capacity 0;
+          vb = Array.make capacity 0;
+          detail = Array.make capacity "";
           written = Atomic.make 0;
         }
       in
@@ -123,16 +136,24 @@ let store ts k ~a ~b detail =
   let detail = if String.length detail > 255 then String.sub detail 0 255 else detail in
   let r = Domain.DLS.get key in
   let w = Atomic.get r.written in
-  r.slots.(w land mask) <- { fe_ts_ns = ts; fe_kind = k; fe_a = a; fe_b = b; fe_detail = detail };
-  (* The atomic bump publishes the slot store to snapshotting domains. *)
+  let i = w land mask in
+  r.ts.(i) <- ts;
+  r.tag.(i) <- kind_tag k;
+  r.va.(i) <- a;
+  r.vb.(i) <- b;
+  r.detail.(i) <- detail;
+  (* The atomic bump publishes the slot's stores to snapshotting domains. *)
   Atomic.set r.written (w + 1)
 
-let record_s k ~a ~b detail = if Atomic.get on then store (Clock.now_ns ()) k ~a ~b detail
+let record_s k ~a ~b detail =
+  if Atomic.get on then store (Int64.to_int (Clock.now_ns ())) k ~a ~b detail
+
 let record k ~a ~b = record_s k ~a ~b ""
 let note detail = record_s Note ~a:0 ~b:0 detail
 
 let span name ~start_ns ~end_ns count =
-  if Atomic.get on then store end_ns Span ~a:(Int64.to_int (Int64.sub end_ns start_ns)) ~b:count name
+  if Atomic.get on then
+    store (Int64.to_int end_ns) Span ~a:(Int64.to_int (Int64.sub end_ns start_ns)) ~b:count name
 
 let name_domain name =
   let r = Domain.DLS.get key in
@@ -157,9 +178,16 @@ type dump = {
 let section_of_ring r =
   let w = Atomic.get r.written in
   let n = min w capacity in
-  let tmp = Array.make (max n 1) dummy in
+  let ts = Array.make n 0 and tag = Array.make n 0 in
+  let va = Array.make n 0 and vb = Array.make n 0 in
+  let detail = Array.make n "" in
   for i = 0 to n - 1 do
-    tmp.(i) <- r.slots.((w - n + i) land mask)
+    let j = (w - n + i) land mask in
+    ts.(i) <- r.ts.(j);
+    tag.(i) <- r.tag.(j);
+    va.(i) <- r.va.(j);
+    vb.(i) <- r.vb.(j);
+    detail.(i) <- r.detail.(j)
   done;
   let w2 = Atomic.get r.written in
   (* Copied entries hold events [w-n, w-1].  A concurrent writer may
@@ -170,7 +198,11 @@ let section_of_ring r =
   let dirty = max 0 (min (w - 1) (w2 - capacity) - (w - n) + 1) in
   let evs = ref [] in
   for i = n - 1 downto dirty do
-    evs := tmp.(i) :: !evs
+    let kind = match kind_of_tag tag.(i) with Some k -> k | None -> Note in
+    evs :=
+      { fe_ts_ns = Int64.of_int ts.(i); fe_kind = kind; fe_a = va.(i); fe_b = vb.(i);
+        fe_detail = detail.(i) }
+      :: !evs
   done;
   let name = if r.r_name = "" then Printf.sprintf "domain-%d" r.r_domain else r.r_name in
   { fs_domain = r.r_domain; fs_name = name; fs_total = w2; fs_events = !evs }
@@ -199,7 +231,7 @@ let reset () =
     (fun r ->
       Atomic.set r.written 0;
       r.r_name <- "";
-      Array.fill r.slots 0 capacity dummy)
+      Array.fill r.detail 0 capacity "")
     !rings;
   Mutex.unlock mu
 

@@ -4,19 +4,23 @@
     the black box that explains a crash or a latency spike after the
     fact, and the one event stream behind every trace export.  The
     recorder is {e never off}: every instrumented point pays one
-    flag-load-and-branch plus a record allocation and a ring-slot
-    store, cheap enough to leave in every hot path (E18 measures the
-    E13 workload within noise with the recorder running).
+    flag-load-and-branch plus a handful of ring-slot stores and
+    allocates nothing, cheap enough to leave in every hot path (E18
+    measures the E13 workload, and a plan larger than the buffer pool
+    where every pager miss records, within budget).
 
     Each domain records into its own fixed-size ring (no sharing, no
     locks on the hot path); rings hold the last {!capacity} events per
-    domain and overwrite the oldest on wrap.  {!snapshot} (and the
-    dump functions built on it) reads every ring {e while other
-    domains keep recording} and returns a {e consistent prefix} per
-    domain: event records are immutable and boxed, so a slot read can
-    never tear, and publication through an atomic write-index lets the
-    reader trim exactly the entries the writer may have been
-    overwriting mid-copy.
+    domain and overwrite the oldest on wrap.  A slot is stored unboxed
+    as parallel int arrays (timestamp, kind, [a], [b]) plus a shared
+    detail string; {!snapshot} builds the {!event} records.  It reads
+    every ring {e while other domains keep recording} and returns a
+    {e consistent prefix} per domain without ever tearing a
+    multi-word slot: the writer stores all of a slot's words before
+    the atomic write-index bump that publishes it, and the reader,
+    which reads the index before (w) and after (w2) copying, drops
+    every copied entry e with e + {!capacity} <= w2 — exactly the
+    entries whose slots a concurrent writer may have been rewriting.
 
     Dumps use a self-contained little-endian binary format
     ([CFR1]; see DESIGN.md §12) carrying a wall-clock / monotonic-clock

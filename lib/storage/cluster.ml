@@ -36,7 +36,9 @@ let strategy_of_string = function
 let build_adj instances links =
   let known = Hashtbl.create (List.length instances) in
   List.iter (fun (id, _) -> Hashtbl.replace known id ()) instances;
-  let adj : (int, link list ref) Hashtbl.t = Hashtbl.create 64 in
+  (* Sized for every instance up front: growing from a small table
+     rehashes it a dozen times on a large graph. *)
+  let adj : (int, link list ref) Hashtbl.t = Hashtbl.create (Hashtbl.length known) in
   let add_adj id l =
     match Hashtbl.find_opt adj id with
     | Some r -> r := l :: !r
@@ -65,51 +67,113 @@ let build_adj instances links =
 
 let priority count id = (-.float_of_int count) +. (float_of_int id *. 1e-9)
 
+(* Instances (distinct ids) are numbered by their position in
+   [instances], and the links between known instances become a
+   compressed adjacency array: node i's neighbours are
+   [nbr.(pos.(i + 1)) .. nbr.(pos.(i + 2) - 1)], newest link first (the
+   order [build_adj]'s lists have), each with its link count.  Flat int
+   arrays keep the packing loop's working set small: on large graphs
+   the hash tables and per-link list cells it replaces made packing
+   memory-bound. *)
 let pack ~block_capacity ~instances ~links =
   if block_capacity < 1 then invalid_arg "Cluster.pack: block_capacity must be >= 1";
-  let block_of = Hashtbl.create (List.length instances) in
-  let assigned id = Hashtbl.mem block_of id in
-  let adj = build_adj instances links in
+  let n = List.length instances in
+  let id_of = Array.make n 0 and heat = Array.make n 0 in
+  List.iteri
+    (fun i (id, accesses) ->
+      id_of.(i) <- id;
+      heat.(i) <- accesses)
+    instances;
+  (* Id -> number: a flat array when ids are dense (instance ids are),
+     else a hash table. *)
+  let max_id = Array.fold_left max (-1) id_of in
+  let ix =
+    if max_id < 4 * (n + 16) && Array.for_all (fun id -> id >= 0) id_of then begin
+      let index = Array.make (max_id + 1) (-1) in
+      Array.iteri (fun i id -> index.(id) <- i) id_of;
+      fun id -> if id >= 0 && id <= max_id then index.(id) else -1
+    end
+    else begin
+      let index = Hashtbl.create n in
+      Array.iteri (fun i id -> Hashtbl.replace index id i) id_of;
+      fun id -> match Hashtbl.find_opt index id with Some i -> i | None -> -1
+    end
+  in
+  (* [pos.(i + 1)] counts node i's link ends, then (prefix sums) marks
+     the end of its range; filling decrements it, leaving the start of
+     node i's range in [pos.(i + 1)] and its end in [pos.(i + 2)]. *)
+  let pos = Array.make (n + 2) 0 in
+  List.iter
+    (fun l ->
+      let a = ix l.a and b = ix l.b in
+      if a >= 0 && b >= 0 then begin
+        pos.(a + 1) <- pos.(a + 1) + 1;
+        pos.(b + 1) <- pos.(b + 1) + 1
+      end)
+    links;
+  for i = 1 to n do
+    pos.(i) <- pos.(i) + pos.(i - 1)
+  done;
+  pos.(n + 1) <- pos.(n);
+  let nbr = Array.make pos.(n) 0 and count = Array.make pos.(n) 0 in
+  let add i other c =
+    pos.(i + 1) <- pos.(i + 1) - 1;
+    nbr.(pos.(i + 1)) <- other;
+    count.(pos.(i + 1)) <- c
+  in
+  List.iter
+    (fun l ->
+      let a = ix l.a and b = ix l.b in
+      if a >= 0 && b >= 0 then begin
+        add a b l.count;
+        add b a l.count
+      end)
+    links;
+  let block = Array.make n (-1) in
+  let block_of = Hashtbl.create n in
   let seeds = Cactis_util.Pqueue.create () in
-  List.iter (fun (id, accesses) -> Cactis_util.Pqueue.push seeds (priority accesses id) id) instances;
+  for i = 0 to n - 1 do
+    Cactis_util.Pqueue.push seeds (priority heat.(i) id_of.(i)) i
+  done;
   let next_block = ref 0 in
   let rec next_seed () =
-    match Cactis_util.Pqueue.pop_opt seeds with
-    | None -> None
-    | Some id -> if assigned id then next_seed () else Some id
-  in
-  let assign_to_block block id candidates =
-    Hashtbl.replace block_of id block;
-    let neighbours = match Hashtbl.find_opt adj id with Some r -> !r | None -> [] in
-    List.iter
-      (fun l ->
-        let other = if l.a = id then l.b else l.a in
-        if not (assigned other) then
-          Cactis_util.Pqueue.push candidates (priority l.count other) other)
-      neighbours
-  in
-  let rec fill_block block candidates used =
-    if used >= block_capacity then ()
+    if Cactis_util.Pqueue.is_empty seeds then -1
     else
-      match Cactis_util.Pqueue.pop_opt candidates with
-      | None -> ()
-      | Some id ->
-        if assigned id then fill_block block candidates used
-        else begin
-          assign_to_block block id candidates;
-          fill_block block candidates (used + 1)
-        end
+      let i = Cactis_util.Pqueue.pop seeds in
+      if block.(i) >= 0 then next_seed () else i
+  in
+  (* One candidate heap, emptied for each block. *)
+  let candidates = Cactis_util.Pqueue.create () in
+  let assign_to_block b i =
+    block.(i) <- b;
+    (* Each instance is assigned once and ids are distinct. *)
+    Hashtbl.add block_of id_of.(i) b;
+    for k = pos.(i + 1) to pos.(i + 2) - 1 do
+      let other = nbr.(k) in
+      if block.(other) < 0 then
+        Cactis_util.Pqueue.push candidates (priority count.(k) id_of.(other)) other
+    done
+  in
+  let rec fill_block b used =
+    if used < block_capacity && not (Cactis_util.Pqueue.is_empty candidates) then begin
+      let i = Cactis_util.Pqueue.pop candidates in
+      if block.(i) >= 0 then fill_block b used
+      else begin
+        assign_to_block b i;
+        fill_block b (used + 1)
+      end
+    end
   in
   let rec outer () =
-    match next_seed () with
-    | None -> ()
-    | Some seed ->
-      let block = !next_block in
+    let seed = next_seed () in
+    if seed >= 0 then begin
+      let b = !next_block in
       incr next_block;
-      let candidates = Cactis_util.Pqueue.create () in
-      assign_to_block block seed candidates;
-      fill_block block candidates 1;
+      Cactis_util.Pqueue.clear candidates;
+      assign_to_block b seed;
+      fill_block b 1;
       outer ()
+    end
   in
   outer ();
   { block_of; block_count = !next_block }

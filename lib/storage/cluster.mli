@@ -72,7 +72,8 @@ val pack_with :
     never traversed) — an instance connected only by cold links is still
     pulled into its neighbour's block before a fresh block is opened for
     it, exactly as in the paper's inner loop.  Heap-based: packing is
-    O((V + E) log E), tractable at 100k+ instances.
+    O((V + E) log E), tractable at 100k+ instances.  The instance ids
+    must be distinct; links to ids not in [instances] are ignored.
 
     @raise Invalid_argument if [block_capacity < 1]. *)
 val pack : block_capacity:int -> instances:(int * int) list -> links:link list -> assignment

@@ -145,8 +145,8 @@ let forget t id =
     end
   end
 
-let block_of t id =
-  if id < Array.length t.placement && t.placement.(id) >= 0 then Some t.placement.(id) else None
+let block t id = if id < Array.length t.placement then t.placement.(id) else -1
+let block_of t id = match block t id with -1 -> None | b -> Some b
 
 let touch ?dirty t id =
   let block =

@@ -44,6 +44,11 @@ val forget : t -> int -> unit
 (** [block_of t id] is the current block of [id], if registered. *)
 val block_of : t -> int -> int option
 
+(** [block t id] is {!block_of} without the option: [-1] when [id] is
+    not registered (the chunk scheduler asks on every non-resident
+    chunk). *)
+val block : t -> int -> int
+
 (** [touch ?dirty t id] charges one buffered access to [id]'s block;
     returns whether the block was already resident.  [dirty] (default
     false) marks the access as a write.  Unknown instances are

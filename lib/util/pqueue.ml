@@ -1,69 +1,81 @@
-type 'a entry = { prio : float; payload : 'a }
+(* Two parallel arrays: the priorities unboxed in a float array, the
+   payloads beside them.  A push stores one float and one payload word;
+   nothing is allocated once the arrays have grown to the queue's
+   high-water mark.  The sift logic (strict [<], smaller child first,
+   left child on ties) is the historical record heap's, so pop order,
+   ties included, is unchanged. *)
 
 type 'a t = {
-  mutable heap : 'a entry array;
+  mutable prio : float array;
+  mutable data : 'a array;
   mutable size : int;
 }
 
-let dummy prio payload = { prio; payload }
-
-let create () = { heap = [||]; size = 0 }
+let create () = { prio = [||]; data = [||]; size = 0 }
 
 let is_empty t = t.size = 0
 let length t = t.size
 
-let grow t e =
-  let cap = Array.length t.heap in
+(* The first push supplies the filler for the payload array. *)
+let grow t x =
+  let cap = Array.length t.prio in
   if t.size = cap then begin
     let ncap = if cap = 0 then 16 else cap * 2 in
-    let nheap = Array.make ncap e in
-    Array.blit t.heap 0 nheap 0 t.size;
-    t.heap <- nheap
+    let nprio = Array.make ncap 0.0 in
+    Array.blit t.prio 0 nprio 0 t.size;
+    let ndata = Array.make ncap x in
+    Array.blit t.data 0 ndata 0 t.size;
+    t.prio <- nprio;
+    t.data <- ndata
   end
+
+let swap t i j =
+  let p = t.prio.(i) in
+  t.prio.(i) <- t.prio.(j);
+  t.prio.(j) <- p;
+  let x = t.data.(i) in
+  t.data.(i) <- t.data.(j);
+  t.data.(j) <- x
 
 let rec sift_up t i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    if t.heap.(i).prio < t.heap.(parent).prio then begin
-      let tmp = t.heap.(i) in
-      t.heap.(i) <- t.heap.(parent);
-      t.heap.(parent) <- tmp;
+    if t.prio.(i) < t.prio.(parent) then begin
+      swap t i parent;
       sift_up t parent
     end
   end
 
 let rec sift_down t i =
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && t.heap.(l).prio < t.heap.(!smallest).prio then smallest := l;
-  if r < t.size && t.heap.(r).prio < t.heap.(!smallest).prio then smallest := r;
-  if !smallest <> i then begin
-    let tmp = t.heap.(i) in
-    t.heap.(i) <- t.heap.(!smallest);
-    t.heap.(!smallest) <- tmp;
-    sift_down t !smallest
+  let smallest = if l < t.size && t.prio.(l) < t.prio.(i) then l else i in
+  let smallest = if r < t.size && t.prio.(r) < t.prio.(smallest) then r else smallest in
+  if smallest <> i then begin
+    swap t i smallest;
+    sift_down t smallest
   end
 
 let push t prio x =
-  let e = dummy prio x in
-  grow t e;
-  t.heap.(t.size) <- e;
+  grow t x;
+  t.prio.(t.size) <- prio;
+  t.data.(t.size) <- x;
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
 let pop t =
   if t.size = 0 then raise Not_found;
-  let top = t.heap.(0) in
+  let top = t.data.(0) in
   t.size <- t.size - 1;
   if t.size > 0 then begin
-    t.heap.(0) <- t.heap.(t.size);
+    t.prio.(0) <- t.prio.(t.size);
+    t.data.(0) <- t.data.(t.size);
     sift_down t 0
   end;
-  top.payload
+  top
 
 let pop_opt t = if t.size = 0 then None else Some (pop t)
 
-let peek_priority t = if t.size = 0 then None else Some t.heap.(0).prio
+let peek_priority t = if t.size = 0 then None else Some t.prio.(0)
 
 let drain t f =
   let rec loop () =
@@ -75,4 +87,6 @@ let drain t f =
   in
   loop ()
 
+(* Popped payload words stay in [data] until overwritten; the queue's
+   users hold immediates or objects they keep alive anyway. *)
 let clear t = t.size <- 0

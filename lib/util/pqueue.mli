@@ -3,7 +3,18 @@
     Lower priority value = dequeued first.  Used by the chunk scheduler of
     the storage engine: runnable traversal processes are ordered by their
     expected disk I/O, and the process with the smallest expectation runs
-    first (Section 2.3). *)
+    first (Section 2.3).
+
+    Layout: priorities live unboxed in a [float array] and payloads in a
+    parallel array, so a push or pop allocates nothing once the arrays
+    have grown to the queue's high-water mark (they grow by doubling and
+    never shrink).  Ordering is a plain binary min-heap with strict [<]
+    comparisons; among equal priorities the pop order is a deterministic
+    function of the push/pop sequence (not FIFO).  The chunk scheduler's
+    counters depend on that exact order, so the sift rules are part of
+    the contract: sift-up swaps while strictly smaller than the parent,
+    sift-down moves to the strictly smallest child, preferring the left
+    one on ties. *)
 
 type 'a t
 
@@ -28,5 +39,5 @@ val peek_priority : 'a t -> float option
 (** [drain t f] pops every element in priority order, applying [f]. *)
 val drain : 'a t -> ('a -> unit) -> unit
 
-(** [clear t] empties the queue. *)
+(** [clear t] empties the queue, keeping its arrays for reuse. *)
 val clear : 'a t -> unit

@@ -290,6 +290,181 @@ let test_strategies_agree () =
         ids)
     strategies
 
+(* ------------------------------------------------------------------ *)
+(* Waves: order-sensitive counters, allocation, watch validation       *)
+
+(* A layered plan of [layers] x [width] milestone nodes under one root
+   that depends on the whole first layer; every node depends on 1-2
+   nodes of the layer below (fixed seed).  Returns the root and the
+   nodes, top layer first. *)
+let layered_plan ?sched ?buffer_capacity ~layers ~width () =
+  let db = Db.create ?sched ?buffer_capacity (milestone_schema ()) in
+  let rng = Cactis_util.Rng.create 7 in
+  let nodes = Array.make (layers * width) 0 in
+  let root =
+    Db.with_txn db (fun () ->
+        let root = Db.create_instance db "node" in
+        for i = 0 to Array.length nodes - 1 do
+          nodes.(i) <- Db.create_instance db "node"
+        done;
+        for i = 0 to width - 1 do
+          Db.link db ~from_id:root ~rel:"deps" ~to_id:nodes.(i)
+        done;
+        for l = 0 to layers - 2 do
+          for i = 0 to width - 1 do
+            let upper = nodes.((l * width) + i) in
+            for _ = 1 to 1 + Cactis_util.Rng.int rng 2 do
+              let lower = nodes.(((l + 1) * width) + Cactis_util.Rng.int rng width) in
+              if not (List.mem lower (Db.related db upper "deps")) then
+                Db.link db ~from_id:upper ~rel:"deps" ~to_id:lower
+            done
+          done
+        done;
+        root)
+  in
+  ignore (Db.get ~watch:false db root "total");
+  (db, root, nodes)
+
+(* The fixed edit stream: a slip in the lower half of the plan (marks
+   only: nothing is watched), then a lazy ask of the root's total. *)
+let slip db nodes rng k =
+  let n = Array.length nodes in
+  Db.set db nodes.((n / 2) + Cactis_util.Rng.int rng (n / 2)) "local" (int (1 + (k mod 9)))
+
+let ask db root = ignore (Db.get ~watch:false db root "total")
+
+(* The chunk scheduler's order decides which blocks fault in, so these
+   counts pin it: the values were recorded before the scheduler moved
+   to struct-of-arrays state, and any change to chunk order, tie
+   breaking or block promotion shows up here. *)
+let test_pinned_counters () =
+  let names =
+    [ "block_misses"; "mark_visits"; "mark_cutoffs"; "rule_evals"; "eval_procs"; "demand_procs" ]
+  in
+  let run sched =
+    let db, root, nodes = layered_plan ~sched ~layers:40 ~width:30 () in
+    let c = Db.counters db in
+    let before = List.map (Counters.get c) names in
+    let rng = Cactis_util.Rng.create 11 in
+    for k = 1 to 60 do
+      slip db nodes rng k;
+      if k mod 3 = 0 then ask db root
+    done;
+    List.map2 (fun name b -> (name, Counters.get c name - b)) names before
+  in
+  List.iter
+    (fun (label, sched, want) ->
+      let got = run sched in
+      Alcotest.(check (list (pair string int))) label (List.combine names want) got)
+    [
+      ("fifo", Cactis.Sched.Fifo, [ 3626; 21705; 14515; 7190; 17843; 7190 ]);
+      ("cost-only", Cactis.Sched.Cost_only, [ 5218; 21705; 14515; 7190; 17192; 7190 ]);
+      ("greedy", Cactis.Sched.Greedy, [ 3916; 21705; 14515; 7190; 17006; 7190 ]);
+    ]
+
+let minor_words_during f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* Words allocated per mark visit (slips) and per rule evaluation
+   (asks) over a warmed plan. *)
+let wave_words ?buffer_capacity ~layers ~width () =
+  let db, root, nodes = layered_plan ?buffer_capacity ~layers ~width () in
+  let c = Db.counters db in
+  let rng = Cactis_util.Rng.create 3 in
+  (* Warm: let every wave column, table and pool frame reach its size. *)
+  for k = 1 to 20 do
+    slip db nodes rng k;
+    ask db root
+  done;
+  let slip_words = ref 0. and ask_words = ref 0. in
+  let visits0 = Counters.get c "mark_visits" and evals0 = Counters.get c "rule_evals" in
+  for k = 1 to 40 do
+    slip_words := !slip_words +. minor_words_during (fun () -> slip db nodes rng k);
+    ask_words := !ask_words +. minor_words_during (fun () -> ask db root)
+  done;
+  let per w n = w /. float_of_int (max 1 n) in
+  ( per !slip_words (Counters.get c "mark_visits" - visits0),
+    per !ask_words (Counters.get c "rule_evals" - evals0) )
+
+let test_wave_allocation_resident () =
+  let per_visit, per_eval =
+    wave_words ~buffer_capacity:max_int ~layers:40 ~width:30 ()
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "resident pool: %.1f words per mark visit (<= 4)" per_visit)
+    true (per_visit <= 4.);
+  Alcotest.(check bool)
+    (Printf.sprintf "resident pool: %.1f words per rule eval (<= 140)" per_eval)
+    true (per_eval <= 140.)
+
+let test_wave_allocation_default_pool () =
+  let per_visit, _ = wave_words ~layers:40 ~width:30 () in
+  Alcotest.(check bool)
+    (Printf.sprintf "default pool: %.1f words per mark visit (<= 8)" per_visit)
+    true (per_visit <= 8.)
+
+let test_watch_validates () =
+  let db = Db.create (milestone_schema ()) in
+  let id = Db.create_instance db "node" in
+  let unknown name f =
+    match f () with
+    | () -> Alcotest.failf "%s: expected Errors.Unknown" name
+    | exception Errors.Unknown _ -> ()
+  in
+  unknown "unknown attribute" (fun () -> Db.watch db id "no_such_attr");
+  unknown "unknown instance" (fun () -> Db.watch db 99999 "late");
+  unknown "get agrees" (fun () -> ignore (Db.get db 99999 "late"));
+  Alcotest.(check bool) "nothing watched" false (Engine.is_watched (Db.engine db) 99999 "late");
+  Db.watch db id "late";
+  Alcotest.(check bool) "declared attribute watched" true
+    (Engine.is_watched (Db.engine db) id "late")
+
+(* Deleting an instance drops its watch and pending keys (found through
+   its layout's slots), and nothing else. *)
+let test_delete_purges_watches () =
+  let db = Db.create (milestone_schema ()) in
+  let ids = chain db 3 in
+  let a = List.nth ids 1 and b = List.nth ids 2 in
+  let eng = Db.engine db in
+  Db.watch db a "total";
+  Db.watch db b "total";
+  Db.watch db b "late";
+  ignore (Db.get db a "total");
+  Db.begin_txn db;
+  Db.set db b "local" (int 5);
+  Alcotest.(check int) "a.total, b.total, b.late pending" 3 (Engine.pending_important_count eng);
+  Db.unlink db ~from_id:a ~rel:"deps" ~to_id:b;
+  Db.delete_instance db b;
+  Alcotest.(check int) "only a.total still pending" 1 (Engine.pending_important_count eng);
+  Db.commit db;
+  Alcotest.(check bool) "deleted total unwatched" false (Engine.is_watched eng b "total");
+  Alcotest.(check bool) "deleted late unwatched" false (Engine.is_watched eng b "late");
+  Alcotest.(check bool) "survivor still watched" true (Engine.is_watched eng a "total");
+  check_value "survivor evaluates" "1" (vstr (Db.get db a "total"))
+
+(* A wave started from inside another (here: a write observer that
+   reads an out-of-date attribute while the outer evaluation wave is
+   finishing frames) runs on its own state and leaves the outer wave
+   intact. *)
+let test_reentrant_wave () =
+  let db = Db.create (milestone_schema ()) in
+  let xs = Array.of_list (chain db 6) and ys = Array.of_list (chain db 6) in
+  Db.set db xs.(5) "local" (int 10);
+  Db.set db ys.(5) "local" (int 20);
+  let nested = ref [] in
+  Store.subscribe_write (Db.store db) (fun id attr _ ->
+      if id = xs.(2) && attr = "total" && !nested = [] then
+        nested := [ vstr (Db.get ~watch:false db ys.(0) "total") ]);
+  check_value "outer wave value" "15" (vstr (Db.get ~watch:false db xs.(0) "total"));
+  Alcotest.(check (list string)) "nested wave value" [ "25" ] !nested;
+  List.iter
+    (fun id ->
+      let want = Engine.oracle_value (Db.engine db) id "total" in
+      check_value (Printf.sprintf "node %d" id) (vstr want) (vstr (Db.get db id "total")))
+    (Array.to_list xs @ Array.to_list ys)
+
 let () =
   Alcotest.run "cactis-core"
     [
@@ -318,5 +493,14 @@ let () =
         [
           Alcotest.test_case "subtype membership" `Quick test_subtype_membership;
           Alcotest.test_case "dynamic extension" `Quick test_dynamic_attr_extension;
+        ] );
+      ( "waves",
+        [
+          Alcotest.test_case "pinned scheduling counters" `Quick test_pinned_counters;
+          Alcotest.test_case "resident pool allocation" `Quick test_wave_allocation_resident;
+          Alcotest.test_case "default pool allocation" `Quick test_wave_allocation_default_pool;
+          Alcotest.test_case "watch validates" `Quick test_watch_validates;
+          Alcotest.test_case "delete purges watches" `Quick test_delete_purges_watches;
+          Alcotest.test_case "re-entrant wave" `Quick test_reentrant_wave;
         ] );
     ]

@@ -508,6 +508,26 @@ let test_flight_recording_switch () =
     "suppressed window recorded nothing" [ 1; 3 ]
     (List.map (fun e -> e.Flight.fe_a) s.Flight.fs_events)
 
+(* Ring slots are unboxed int columns: a record stores five words and
+   bumps the index, allocating nothing (the timestamp included). *)
+let test_flight_record_allocation_free () =
+  Flight.reset ();
+  let record_all () =
+    for k = 0 to 9_999 do
+      Flight.record Flight.Pager_miss ~a:k ~b:(k + 1)
+    done
+  in
+  let before = Gc.minor_words () in
+  record_all ();
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "10k records allocate %.0f words" words)
+    true (words <= 16.);
+  let s = sole_section (Flight.snapshot ()) in
+  Alcotest.(check int) "all counted" 10_000 s.Flight.fs_total;
+  Alcotest.(check int) "newest kept" 9_999 (List.hd (List.rev s.Flight.fs_events)).Flight.fe_a;
+  Flight.reset ()
+
 (* ---- Histogram exactness and error bound ---- *)
 
 let test_histogram_sum_count_exact () =
@@ -896,6 +916,7 @@ let () =
           Alcotest.test_case "decode rejects garbage" `Quick test_flight_decode_rejects_garbage;
           Alcotest.test_case "snapshot while recording" `Quick test_flight_snapshot_while_recording;
           Alcotest.test_case "recording switch" `Quick test_flight_recording_switch;
+          Alcotest.test_case "record allocates nothing" `Quick test_flight_record_allocation_free;
         ] );
       ( "histogram-exact",
         [

@@ -329,6 +329,30 @@ let test_access_bookkeeping_allocation_free () =
   Alcotest.(check int) "hits counted" 10_000 (Buffer_pool.hits pool);
   Alcotest.(check int) "misses counted" 100 (Buffer_pool.misses pool)
 
+(* A bounded pool relinks its intrusive LRU list on a hit and reuses the
+   evicted frame on a miss: once full, hits and misses (each of which
+   also records a flight event) allocate nothing. *)
+let test_bounded_pool_allocation_free () =
+  let pool = Buffer_pool.create ~capacity:16 (Disk.create ()) in
+  (* Alternate a hot set of 4 blocks, which stays resident, with a
+     sweep over 32 blocks, which always misses (10 240 touches: a whole
+     number of 64-touch periods). *)
+  let churn () =
+    for k = 0 to 10_239 do
+      if k land 1 = 0 then ignore (Buffer_pool.touch pool (k mod 8))
+      else ignore (Buffer_pool.touch pool (100 + (k mod 64)))
+    done
+  in
+  churn ();
+  let hits0 = Buffer_pool.hits pool and misses0 = Buffer_pool.misses pool in
+  let words = minor_words_during churn in
+  Alcotest.(check bool)
+    (Printf.sprintf "10k bounded-pool hits and misses allocate %.0f words" words)
+    true (words <= 16.);
+  Alcotest.(check int) "every hot touch hits" 5_120 (Buffer_pool.hits pool - hits0);
+  Alcotest.(check int) "every sweep touch misses" 5_120 (Buffer_pool.misses pool - misses0);
+  Alcotest.(check int) "capacity kept" 16 (List.length (Buffer_pool.contents pool))
+
 (* A resident pool keeps no recency order, but its accounting is a
    plain set model: a block hits iff touched before; [contents] lists
    every resident block; a flush writes back every dirty one. *)
@@ -652,6 +676,8 @@ let () =
           Alcotest.test_case "counts" `Quick test_usage_counts;
           Alcotest.test_case "allocation-free re-crossings and resident hits" `Quick
             test_access_bookkeeping_allocation_free;
+          Alcotest.test_case "allocation-free bounded pool" `Quick
+            test_bounded_pool_allocation_free;
         ] );
       ( "clustering",
         [

@@ -3,6 +3,7 @@
 
 module Rng = Cactis_util.Rng
 module Pqueue = Cactis_util.Pqueue
+module Itbl = Cactis_util.Itbl
 module Decaying_avg = Cactis_util.Decaying_avg
 module Counters = Cactis_util.Counters
 module Vtime = Cactis_util.Vtime
@@ -94,6 +95,129 @@ let prop_pqueue_length =
       let rec pop_k k = if k = 0 then true else (ignore (Pqueue.pop q); pop_k (k - 1)) in
       pop_k (n / 2) && Pqueue.length q = n - (n / 2))
 
+(* The record-per-entry binary heap the scheduler used before priorities
+   moved into an unboxed float array, kept verbatim as the model: chunk
+   order, ties included, is part of the scheduler's counters. *)
+module Model_heap = struct
+  type 'a entry = { prio : float; payload : 'a }
+  type 'a t = { mutable heap : 'a entry array; mutable size : int }
+
+  let create () = { heap = [||]; size = 0 }
+
+  let grow t e =
+    let cap = Array.length t.heap in
+    if t.size = cap then begin
+      let nheap = Array.make (if cap = 0 then 16 else cap * 2) e in
+      Array.blit t.heap 0 nheap 0 t.size;
+      t.heap <- nheap
+    end
+
+  let rec sift_up t i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if t.heap.(i).prio < t.heap.(parent).prio then begin
+        let tmp = t.heap.(i) in
+        t.heap.(i) <- t.heap.(parent);
+        t.heap.(parent) <- tmp;
+        sift_up t parent
+      end
+    end
+
+  let rec sift_down t i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let smallest = ref i in
+    if l < t.size && t.heap.(l).prio < t.heap.(!smallest).prio then smallest := l;
+    if r < t.size && t.heap.(r).prio < t.heap.(!smallest).prio then smallest := r;
+    if !smallest <> i then begin
+      let tmp = t.heap.(i) in
+      t.heap.(i) <- t.heap.(!smallest);
+      t.heap.(!smallest) <- tmp;
+      sift_down t !smallest
+    end
+
+  let push t prio payload =
+    let e = { prio; payload } in
+    grow t e;
+    t.heap.(t.size) <- e;
+    t.size <- t.size + 1;
+    sift_up t (t.size - 1)
+
+  let pop_opt t =
+    if t.size = 0 then None
+    else begin
+      let top = t.heap.(0) in
+      t.size <- t.size - 1;
+      if t.size > 0 then begin
+        t.heap.(0) <- t.heap.(t.size);
+        sift_down t 0
+      end;
+      Some top.payload
+    end
+end
+
+(* Random push/pop runs over few distinct priorities (so most pushes
+   tie), with pushes numbered in order: both heaps must pop exactly the
+   same sequence of numbers. *)
+let prop_pqueue_matches_model =
+  QCheck.Test.make ~name:"pqueue pops the model heap's exact sequence" ~count:300
+    QCheck.(list (option (int_range 0 4)))
+    (fun ops ->
+      let q = Pqueue.create () and m = Model_heap.create () in
+      let n = ref 0 in
+      let popped_q = ref [] and popped_m = ref [] in
+      List.iter
+        (function
+          | Some p ->
+            let prio = float_of_int p /. 2.0 in
+            Pqueue.push q prio !n;
+            Model_heap.push m prio !n;
+            incr n
+          | None ->
+            popped_q := Pqueue.pop_opt q :: !popped_q;
+            popped_m := Model_heap.pop_opt m :: !popped_m)
+        ops;
+      let rec drain acc_q acc_m =
+        match (Pqueue.pop_opt q, Model_heap.pop_opt m) with
+        | None, None -> (acc_q, acc_m)
+        | a, b -> drain (a :: acc_q) (b :: acc_m)
+      in
+      let all_q, all_m = drain !popped_q !popped_m in
+      all_q = all_m)
+
+(* ---- Itbl ---- *)
+
+(* Random replace/remove runs against a [Hashtbl] model.  Keys are
+   packed (id, symbol) pairs from a small range, so probe clusters form
+   and wrap around the table, and removals exercise the backward shift.
+   Each step checks the key it touched and the length; the end of the
+   run checks every key of the range and every binding. *)
+let prop_itbl_matches_model =
+  QCheck.Test.make ~name:"itbl agrees with a Hashtbl model" ~count:300
+    QCheck.(list (triple bool (int_range 0 40) (int_range 0 3)))
+    (fun ops ->
+      let t = Itbl.create 4 and m = Hashtbl.create 16 in
+      let agrees k =
+        Itbl.find t k ~default:(-1) = (match Hashtbl.find_opt m k with Some v -> v | None -> -1)
+        && Itbl.mem t k = Hashtbl.mem m k
+      in
+      List.for_all
+        (fun (add, id, sym) ->
+          let k = Cactis_util.Symbol.pack id sym in
+          if add then begin
+            Itbl.replace t k id;
+            Hashtbl.replace m k id
+          end
+          else begin
+            Itbl.remove t k;
+            Hashtbl.remove m k
+          end;
+          agrees k && Itbl.length t = Hashtbl.length m)
+        ops
+      && Itbl.fold (fun k v ok -> ok && Hashtbl.find_opt m k = Some v) t true
+      && List.for_all
+           (fun id -> List.for_all (fun sym -> agrees (Cactis_util.Symbol.pack id sym)) [ 0; 1; 2; 3 ])
+           (List.init 41 Fun.id))
+
 (* ---- Decaying_avg ---- *)
 
 let test_decaying_avg_converges () =
@@ -173,7 +297,11 @@ let test_table_fmt () =
   Alcotest.(check string) "ratio div0" "-" (Table.fmt_ratio 10.0 0.0);
   Alcotest.(check string) "int" "42" (Table.fmt_int 42)
 
-let qcheck_cases = List.map QCheck_alcotest.to_alcotest [ prop_pqueue_sorts; prop_pqueue_length ]
+let qcheck_cases =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_pqueue_sorts; prop_pqueue_length; prop_pqueue_matches_model ]
+
+let itbl_cases = List.map QCheck_alcotest.to_alcotest [ prop_itbl_matches_model ]
 
 let () =
   Alcotest.run "cactis-util"
@@ -192,6 +320,7 @@ let () =
           Alcotest.test_case "empty" `Quick test_pqueue_empty;
         ]
         @ qcheck_cases );
+      ("itbl", itbl_cases);
       ( "decaying-avg",
         [
           Alcotest.test_case "converges" `Quick test_decaying_avg_converges;
