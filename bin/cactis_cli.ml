@@ -697,7 +697,7 @@ let analyze_cmd path db_dir json =
         let p = Persist.recover ~dir sch in
         let db = Persist.db p in
         let cost = Cost.analyze_schema ~db sch in
-        let hot = Cactis_storage.Usage.rel_totals (Cactis.Store.usage (Db.store db)) in
+        let hot = Cactis.Store.rel_totals (Db.store db) in
         Persist.close p;
         finish cost hot)
 

@@ -28,10 +28,23 @@ type auto_recluster = {
   mutable last_touches : int;  (* instance_touches when the last plan was cut *)
 }
 
+(* Reusable state of {!traverse}: a node is visited when its stamp is
+   the current epoch, so clearing the visited set is one increment, and
+   the frontiers and the visited values live in arrays kept at their
+   high-water mark. *)
+type walk = {
+  mutable stamp : int array;
+  mutable epoch : int;
+  mutable cur : int array;
+  mutable next : int array;
+  mutable vals : Value.t array;
+}
+
 type t = {
   sch : Schema.t;
   st : Store.t;
   eng : Engine.t;
+  walk : walk;
   mutable current : Txn.op list option;  (* open txn log, newest op first *)
   mutable head : vnode option;  (* None = initial state *)
   mutable redo_stack : vnode list;  (* nodes stepped back from, nearest first *)
@@ -63,6 +76,7 @@ let create ?block_capacity ?buffer_capacity ?disk_path ?disk_block_bytes ?strate
       sch;
       st;
       eng;
+      walk = { stamp = [||]; epoch = 0; cur = Array.make 16 0; next = Array.make 16 0; vals = [||] };
       current = None;
       head = None;
       redo_stack = [];
@@ -426,6 +440,102 @@ let delete_instance t id =
       Store.delete_instance t.st id)
 
 let related t id rel = Store.linked t.st id rel
+
+(* [Value.sum] of [vals.(n - 1)], ..., [vals.(0)], in that order, with
+   the partial sum unboxed while it is an int or a float. *)
+let sum_down vals n =
+  let kind = ref 0 (* 0 int, 1 float, 2 any *) and si = ref 0 and sf = ref 0.0 in
+  let acc = ref (Value.Int 0) in
+  for i = n - 1 downto 0 do
+    match (!kind, vals.(i)) with
+    | 0, Value.Int x -> si := !si + x
+    | 0, Value.Float x ->
+      sf := float_of_int !si +. x;
+      kind := 1
+    | 1, Value.Float x -> sf := !sf +. x
+    | 1, Value.Int x -> sf := !sf +. float_of_int x
+    | 2, v -> acc := Value.add !acc v
+    | k, v ->
+      acc := Value.add (if k = 0 then Value.Int !si else Value.Float !sf) v;
+      kind := 2
+  done;
+  match !kind with 0 -> Value.Int !si | 1 -> Value.Float !sf | _ -> !acc
+
+(* Breadth-first, each level in the order the [Db.get]/[Db.related]
+   walk over lists took it: that walk gathered level d + 1 as the
+   reverse of its related lists, so ids are appended to [next] as
+   related and every level is read from its last entry down.  Each
+   node costs what [get ~watch:false] and [related] charge it: two
+   touches and one crossing per link. *)
+let grow_ints a n =
+  let bigger = Array.make (max n (2 * Array.length a)) 0 in
+  Array.blit a 0 bigger 0 (Array.length a);
+  bigger
+
+let traverse_walk t ~root ~rel ~attr ~depth =
+  let w = t.walk in
+  w.epoch <- w.epoch + 1;
+  let epoch = w.epoch in
+  (* The arrays are held in locals while the walk runs (a store into a
+     record field would pay the write barrier) and put back at the end. *)
+  let cur = ref w.cur and next = ref w.next and stamp = ref w.stamp and vals = ref w.vals in
+  !cur.(0) <- root;
+  let ncur = ref 1 and nvals = ref 0 and d = ref 0 in
+  let lay = ref None and slot = ref (-1) and link = ref (-1) in
+  while !ncur > 0 && (depth < 0 || !d <= depth) do
+    let nnext = ref 0 in
+    for k = !ncur - 1 downto 0 do
+      let id = !cur.(k) in
+      if id >= Array.length !stamp then stamp := grow_ints !stamp (max (id + 1) (Store.next_id t.st));
+      if id < 0 || !stamp.(id) <> epoch then begin
+        let inst = Store.get t.st id in
+        !stamp.(id) <- epoch;
+        (match !lay with
+        | Some l when l == inst.Instance.layout -> ()
+        | _ ->
+          lay := Some inst.Instance.layout;
+          slot := (match Instance.find_slot inst attr with Some ix -> ix | None -> -1);
+          link := (match Instance.find_link inst rel with Some ix -> ix | None -> -1));
+        if !slot < 0 then
+          Errors.unknown "type %s has no attribute %s" inst.Instance.type_name attr;
+        let v = Engine.read_ix t.eng ~watch:false inst !slot in
+        if !nvals = Array.length !vals then begin
+          let bigger = Array.make (max 16 (2 * !nvals)) Value.Null in
+          Array.blit !vals 0 bigger 0 !nvals;
+          vals := bigger
+        end;
+        !vals.(!nvals) <- v;
+        incr nvals;
+        Store.touch t.st id;
+        if !link < 0 then
+          Errors.unknown "type %s has no relationship %s" inst.Instance.type_name rel;
+        let l = Instance.links_ix inst !link in
+        if !nnext + l.Instance.n > Array.length !next then
+          next := grow_ints !next (!nnext + l.Instance.n);
+        for j = 0 to l.Instance.n - 1 do
+          Instance.cross l j;
+          !next.(!nnext + j) <- l.Instance.ids.(j)
+        done;
+        nnext := !nnext + l.Instance.n
+      end
+    done;
+    let c = !cur in
+    cur := !next;
+    next := c;
+    ncur := !nnext;
+    incr d
+  done;
+  w.cur <- !cur;
+  w.next <- !next;
+  w.stamp <- !stamp;
+  w.vals <- !vals;
+  (!nvals, sum_down !vals !nvals)
+
+let traverse t ~root ~rel ~attr ~depth =
+  try traverse_walk t ~root ~rel ~attr ~depth
+  with Errors.Constraint_violation _ as e ->
+    if in_txn t then rollback_current t;
+    raise e
 let type_of t id = (Store.get t.st id).Instance.type_name
 let instance_ids t = Store.instance_ids t.st
 let instances_of_type t type_name = Store.instances_of_type t.st type_name

@@ -121,6 +121,19 @@ val unlink : t -> from_id:int -> rel:string -> to_id:int -> unit
 (** Ids related to [id] across [rel], in link order. *)
 val related : t -> int -> string -> int list
 
+(** [traverse t ~root ~rel ~attr ~depth] — depth-limited reachability
+    from [root] across [rel]: a node is visited at the shallowest depth
+    it is seen at, so [depth] bounds hops from the root ([< 0]:
+    unbounded).  Returns the number of nodes visited and the
+    {!Value.sum} of their [attr] values, each read as [get ~watch:false]
+    reads it.  Answers, touches, pager hits and crossing counts are
+    those of the same walk written with {!get} and {!related} over
+    lists; unlike it, a warm traversal allocates a bounded number of
+    words whatever its size.
+    @raise Errors.Unknown for a dead or absent node, or a visited type
+    without [attr] or [rel]. *)
+val traverse : t -> root:int -> rel:string -> attr:string -> depth:int -> int * Value.t
+
 val type_of : t -> int -> string
 val instance_ids : t -> int list
 val instances_of_type : t -> string -> int list

@@ -2,7 +2,6 @@ module Counters = Cactis_util.Counters
 module Decaying_avg = Cactis_util.Decaying_avg
 module Symbol = Cactis_util.Symbol
 module Itbl = Cactis_util.Itbl
-module Usage = Cactis_storage.Usage
 module Clock = Cactis_obs.Clock
 module Ctx = Cactis_obs.Ctx
 module Histogram = Cactis_obs.Histogram
@@ -161,13 +160,12 @@ let rel_source (cr : Schema.compiled_rule) (inst : Instance.t) r name =
 exception Skip
 
 (* Related values across the rel source [cr_sources.(k)], in link order:
-   each crossing is recorded in the usage statistics, then [fetch j slot]
-   reads the value. *)
-let related_values store (cr : Schema.compiled_rule) (inst : Instance.t) k fetch =
+   each crossing is counted on its link, then [fetch j slot] reads the
+   value. *)
+let related_values (cr : Schema.compiled_rule) (inst : Instance.t) k fetch =
   match cr.Schema.cr_sources.(k) with
   | Schema.C_self _ -> assert false
   | Schema.C_rel c ->
-    let usage = Store.usage store in
     let l = Instance.links_ix inst c.r_link in
     let n = l.Instance.n in
     let rec go m =
@@ -176,7 +174,7 @@ let related_values store (cr : Schema.compiled_rule) (inst : Instance.t) k fetch
         let j = l.Instance.ids.(m) in
         if c.r_slot < 0 then
           Errors.unknown "type %s has no attribute %s" c.r_target (Symbol.name c.r_sym);
-        Usage.cross_sym usage ~from_instance:inst.Instance.id ~rel_sym:c.r_rel_sym ~to_instance:j;
+        Instance.cross l m;
         match fetch j c.r_slot with v -> v :: go (m + 1) | exception Skip -> go (m + 1)
       end
     in
@@ -184,10 +182,10 @@ let related_values store (cr : Schema.compiled_rule) (inst : Instance.t) k fetch
 
 (* [fetch_value j slot_ix] must return the (up-to-date) value of a
    possibly-derived slot of instance [j]. *)
-let build_env store (cr : Schema.compiled_rule) (inst : Instance.t) ~fetch_value =
+let build_env (cr : Schema.compiled_rule) (inst : Instance.t) ~fetch_value =
   {
     Schema.self_value = (fun b -> fetch_value inst.Instance.id (self_source cr inst b));
-    related_values = (fun r name -> related_values store cr inst (rel_source cr inst r name) fetch_value);
+    related_values = (fun r name -> related_values cr inst (rel_source cr inst r name) fetch_value);
   }
 
 (* Patch a lazily-created intrinsic slot (schema extension) to its
@@ -225,7 +223,7 @@ let wave_env store ws =
       (fun r name ->
         let inst = current () in
         let cr = rule inst in
-        related_values store cr inst (rel_source cr inst r name) fetch);
+        related_values cr inst (rel_source cr inst r name) fetch);
   }
 
 let new_wave store sched =
@@ -384,21 +382,23 @@ let is_watched t id a = Itbl.mem t.watched (Symbol.pack id (Symbol.intern a))
 (* ------------------------------------------------------------------ *)
 (* Dependency enumeration                                              *)
 
-(* A mark/trigger target: attribute [t_ix]/[t_sym] of instance [t_id];
-   [t_via] is the (instance, rel symbol) crossing used for usage
-   statistics and cost tags. *)
+(* A mark/trigger target: attribute [t_ix]/[t_sym] of instance [t_id],
+   reached across position [t_via_j] of the link vector [t_via]
+   ([t_via_j] = -1: no relationship crossed), whose crossing count the
+   mark phase bumps. *)
 type target = {
   t_id : int;
   t_ix : int;
   t_sym : int;
-  t_via : (int * int) option;
+  t_via : Instance.links;
+  t_via_j : int;
 }
 
 (* Dependents of slot [ix] of [inst]: within the instance, and across
    each relationship to currently-linked neighbours — all resolved at
-   schema-compile time to index/symbol tables.  [f id slot sym via_i
-   via_sym] is called for each, in order; [via_i] is -1 for a dependent
-   within the instance. *)
+   schema-compile time to index/symbol tables.  [f id slot sym via
+   via_j] is called for each, in order; [via_j] is the position crossed
+   in the link vector [via], -1 for a dependent within the instance. *)
 let iter_dependents (inst : Instance.t) ix f =
   let lay = inst.Instance.layout in
   Schema.refresh_layout lay;
@@ -406,22 +406,21 @@ let iter_dependents (inst : Instance.t) ix f =
   let self = si.Schema.si_self_deps in
   for k = 0 to Array.length self - 1 do
     let d = self.(k) in
-    f inst.Instance.id d lay.Schema.lay_slots.(d).Schema.si_sym (-1) 0
+    f inst.Instance.id d lay.Schema.lay_slots.(d).Schema.si_sym Instance.no_links (-1)
   done;
   let cross = si.Schema.si_cross_deps in
   for k = 0 to Array.length cross - 1 do
     let xd = cross.(k) in
     let l = Instance.links_ix inst xd.Schema.xd_link in
     for m = 0 to l.Instance.n - 1 do
-      f l.Instance.ids.(m) xd.Schema.xd_slot xd.Schema.xd_sym inst.Instance.id xd.Schema.xd_rel_sym
+      f l.Instance.ids.(m) xd.Schema.xd_slot xd.Schema.xd_sym l m
     done
   done
 
 let dependents_ix inst ix =
   let acc = ref [] in
-  iter_dependents inst ix (fun t_id t_ix t_sym via_i via_sym ->
-      let t_via = if via_i < 0 then None else Some (via_i, via_sym) in
-      acc := { t_id; t_ix; t_sym; t_via } :: !acc);
+  iter_dependents inst ix (fun t_id t_ix t_sym t_via t_via_j ->
+      acc := { t_id; t_ix; t_sym; t_via; t_via_j } :: !acc);
   List.rev !acc
 
 (* The attribute actually transmitted when [name] is requested across the
@@ -475,7 +474,7 @@ let rec eval_rec t path id ix =
         if jsi.Schema.si_derived then eval_rec t ((id, si.Schema.si_name) :: path) j jx
         else (Instance.slot_ix jinst jx).Instance.value
       in
-      let env = build_env t.store cr inst ~fetch_value in
+      let env = build_env cr inst ~fetch_value in
       let v =
         try cr.Schema.cr_rule.Schema.compute env
         with e ->
@@ -499,10 +498,9 @@ let rec eval_rec t path id ix =
 
 let mark_cost t j = if Store.resident t.store j then 0.0 else 1.0
 
-let schedule_mark t ws id ix sym via_i via_sym =
+let schedule_mark t ws id ix sym via via_j =
   (match t.prof with Some p -> Profile.on_edge p | None -> ());
-  if via_i >= 0 then
-    Usage.cross_sym (Store.usage t.store) ~from_instance:via_i ~rel_sym:via_sym ~to_instance:id;
+  if via_j >= 0 then Instance.cross via via_j;
   let e = Sched.schedule ws.chunks ~instance:id ~cost:(mark_cost t id) in
   ensure_entry ws e;
   ws.e_id.(e) <- id;
@@ -541,12 +539,8 @@ let run_marks t targets =
     let start_ns = Clock.now_ns () in
     let visits0 = !(t.c_mark_visits) in
     with_wave t (fun ws ->
-        let schedule id ix sym via_i via_sym = schedule_mark t ws id ix sym via_i via_sym in
-        List.iter
-          (fun tgt ->
-            let via_i, via_sym = match tgt.t_via with Some v -> v | None -> (-1, 0) in
-            schedule tgt.t_id tgt.t_ix tgt.t_sym via_i via_sym)
-          targets;
+        let schedule id ix sym via via_j = schedule_mark t ws id ix sym via via_j in
+        List.iter (fun tgt -> schedule tgt.t_id tgt.t_ix tgt.t_sym tgt.t_via tgt.t_via_j) targets;
         mark_loop t ws schedule);
     Ctx.span ~h:t.h_mark_wave "mark_wave" ~start_ns (!(t.c_mark_visits) - visits0)
   end
@@ -723,7 +717,7 @@ let solve_fixpoint t ~max_iters ws =
               let slot = self_source cr inst b in
               try fetch id id slot with Skip -> (Instance.slot_ix inst slot).Instance.value);
           related_values =
-            (fun r name -> related_values t.store cr inst (rel_source cr inst r name) (fetch id));
+            (fun r name -> related_values cr inst (rel_source cr inst r name) (fetch id));
         }
       in
       let sweeps = ref 0 in
@@ -1117,7 +1111,7 @@ let rec fire_trigger t tgt =
       if ksi.Schema.si_derived && s.Instance.state <> Instance.Up_to_date then eval_rec t [] k kx
       else s.Instance.value
     in
-    let env = build_env t.store cr inst ~fetch_value in
+    let env = build_env cr inst ~fetch_value in
     let v = cr.Schema.cr_rule.Schema.compute env in
     incr t.c_rule_evals;
     (match t.prof with
@@ -1164,7 +1158,7 @@ let after_link_change t ~from_id ~rel ~to_id =
         Array.to_list li.Schema.li_rel_deps
         |> List.map (fun d ->
                let si = slot_info inst d in
-               { t_id = id; t_ix = d; t_sym = si.Schema.si_sym; t_via = None }))
+               { t_id = id; t_ix = d; t_sym = si.Schema.si_sym; t_via = Instance.no_links; t_via_j = -1 }))
   in
   let inverse_of (inst : Instance.t) r =
     match Instance.find_link inst r with
@@ -1270,31 +1264,34 @@ let is_out_of_date t id a =
   | Some s -> s.Instance.state <> Instance.Up_to_date
   | None -> true
 
+let read_ix t ~watch (inst : Instance.t) ix =
+  let id = inst.Instance.id in
+  Store.touch t.store id;
+  let si = slot_info inst ix in
+  if not si.Schema.si_derived then (Instance.slot_ix inst ix).Instance.value
+  else begin
+    (* "If the user explicitly requests the value of attributes (i.e.
+       makes a query) they become important" (§2.2). *)
+    if watch then Itbl.replace t.watched (Symbol.pack id si.Schema.si_sym) 1;
+    let s = Instance.slot_ix inst ix in
+    (match s.Instance.state with
+    | Instance.Up_to_date -> ()
+    | Instance.Out_of_date | Instance.In_progress -> (
+      match t.strategy with
+      | Cactis ->
+        run_eval t [ (id, ix) ];
+        handle_violations t
+      | Eager_triggers | Recompute_all ->
+        ignore (eval_rec t [] id ix);
+        handle_violations t));
+    (Instance.slot_ix inst ix).Instance.value
+  end
+
 let read t ?(watch = true) id a =
   let inst = Store.get t.store id in
   match Instance.find_slot inst a with
   | None -> Errors.unknown "type %s has no attribute %s" inst.Instance.type_name a
-  | Some ix ->
-    Store.touch t.store id;
-    let si = slot_info inst ix in
-    if not si.Schema.si_derived then (Instance.slot_ix inst ix).Instance.value
-    else begin
-      (* "If the user explicitly requests the value of attributes (i.e.
-         makes a query) they become important" (§2.2). *)
-      if watch then Itbl.replace t.watched (Symbol.pack id si.Schema.si_sym) 1;
-      let s = Instance.slot_ix inst ix in
-      (match s.Instance.state with
-      | Instance.Up_to_date -> ()
-      | Instance.Out_of_date | Instance.In_progress -> (
-        match t.strategy with
-        | Cactis ->
-          run_eval t [ (id, ix) ];
-          handle_violations t
-        | Eager_triggers | Recompute_all ->
-          ignore (eval_rec t [] id ix);
-          handle_violations t));
-      (Instance.slot_ix inst ix).Instance.value
-    end
+  | Some ix -> read_ix t ~watch inst ix
 
 (* Pending roots resolved back to (id, name, slot ix); sorted by
    (id, name) to preserve the evaluation order of the string-keyed

@@ -89,6 +89,10 @@ val after_attr_retracted : t -> type_name:string -> attr:string -> unit
     unrecoverable constraint. *)
 val read : t -> ?watch:bool -> int -> string -> Value.t
 
+(** [read_ix t ~watch inst ix] is {!read} with the instance and its
+    slot index already resolved. *)
+val read_ix : t -> watch:bool -> Instance.t -> int -> Value.t
+
 (** [peek t id attr] returns the stored value without evaluating
     (possibly stale); used by diagnostics and the undo machinery. *)
 val peek : t -> int -> string -> Value.t

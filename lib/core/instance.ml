@@ -11,6 +11,7 @@ type slot = {
 type links = {
   mutable ids : int array;
   mutable n : int;
+  mutable uses : int array;
 }
 
 type t = {
@@ -27,7 +28,8 @@ let fresh_slot (si : Schema.slot_info) =
   | Schema.Intrinsic default -> { value = default; state = Up_to_date }
   | Schema.Derived _ -> { value = Value.Null; state = Out_of_date }
 
-let fresh_links () = { ids = [||]; n = 0 }
+let fresh_links () = { ids = [||]; n = 0; uses = [||] }
+let no_links = fresh_links ()
 
 let create ~id ~layout =
   Schema.refresh_layout layout;
@@ -127,9 +129,34 @@ let remove_link_ix t ix id =
   if i < 0 then false
   else begin
     Array.blit l.ids (i + 1) l.ids i (l.n - i - 1);
+    (* Positions at or past [Array.length l.uses] hold 0 implicitly; the
+       vacated last position is cleared so an append starts at 0. *)
+    let nu = min l.n (Array.length l.uses) in
+    if i < nu then begin
+      Array.blit l.uses (i + 1) l.uses i (nu - i - 1);
+      l.uses.(nu - 1) <- 0
+    end;
     l.n <- l.n - 1;
     true
   end
+
+(* The counter array is allocated at a link's first crossing and grown
+   to the id vector's capacity when a later position is crossed. *)
+let cross l j =
+  if j < Array.length l.uses then l.uses.(j) <- l.uses.(j) + 1
+  else begin
+    let bigger = Array.make (Array.length l.ids) 0 in
+    Array.blit l.uses 0 bigger 0 (Array.length l.uses);
+    bigger.(j) <- 1;
+    l.uses <- bigger
+  end
+
+let uses_to l id =
+  let total = ref 0 in
+  for j = 0 to min l.n (Array.length l.uses) - 1 do
+    if l.ids.(j) = id then total := !total + l.uses.(j)
+  done;
+  !total
 
 let remove_link t rel id =
   match find_link t rel with Some ix -> remove_link_ix t ix id | None -> false

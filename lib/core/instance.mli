@@ -25,10 +25,15 @@ type slot = {
 }
 
 (** Insertion-ordered id vector for one relationship (oldest first);
-    appends are amortized O(1). *)
+    appends are amortized O(1).  [uses] holds the link's crossing counts
+    (§2.3's usage statistics), parallel to [ids]: [uses.(j)] counts the
+    crossings from this instance to [ids.(j)] along this relationship.
+    It stays [[||]] until the first crossing and may be shorter than
+    [n]; missing positions count 0. *)
 type links = {
   mutable ids : int array;
   mutable n : int;
+  mutable uses : int array;
 }
 
 type t = {
@@ -85,4 +90,21 @@ val links_ix : t -> int -> links
 val iter_linked : t -> int -> (int -> unit) -> unit
 val link_count_ix : t -> int -> int
 val add_link_ix : t -> int -> int -> unit
+
+(** [remove_link_ix t ix id] removes the first occurrence of [id] and
+    its crossing count: a link broken and made again counts from 0. *)
 val remove_link_ix : t -> int -> int -> bool
+
+(** {1 Crossing counts} *)
+
+(** An empty link vector, never crossed: the [via] of a dependency
+    that crosses no relationship. *)
+val no_links : links
+
+(** [cross l j] records one crossing of [l]'s link at position [j]
+    ([j < l.n]); allocation-free once the link has been crossed. *)
+val cross : links -> int -> unit
+
+(** [uses_to l id] — crossings recorded on [l]'s links to [id] (summed
+    over duplicate links). *)
+val uses_to : links -> int -> int

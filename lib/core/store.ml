@@ -240,17 +240,16 @@ let linked t id rel =
   touch t id;
   match Instance.find_link inst rel with
   | Some ix ->
-    let ids = Instance.linked_ix inst ix in
     (* Listing a relationship traverses it: record one crossing per
        related instance (§2.3's self-adaptive statistics), so plain
        structural traversals — not just dependency propagation — feed
-       the clustering strategies.  The link slot already holds the
-       interned name, so no traversal step hashes [rel]. *)
-    let rel_sym = inst.Instance.layout.Schema.lay_links.(ix).Schema.li_sym in
-    List.iter
-      (fun other -> Usage.cross_sym t.usage ~from_instance:id ~rel_sym ~to_instance:other)
-      ids;
-    ids
+       the clustering strategies.  Each count sits on the link it
+       crosses. *)
+    let l = Instance.links_ix inst ix in
+    for j = 0 to l.Instance.n - 1 do
+      Instance.cross l j
+    done;
+    Instance.linked_ix inst ix
   | None -> Errors.unknown "type %s has no relationship %s" inst.Instance.type_name rel
 
 let read_slot t id attr =
@@ -299,37 +298,104 @@ let load_link_ix t (a : Instance.t) ix (b : Instance.t) =
   Instance.add_link_ix b inv_ix a.Instance.id;
   incr t.c_links
 
+(* ---- Crossing counts, read off the links ---- *)
+
+type crossing = {
+  from_instance : int;
+  rel : string;
+  to_instance : int;
+}
+
+(* Crossings recorded from [a] along its relationship [rel] to [b]. *)
+let uses_along t a rel b =
+  match get_opt t a with
+  | None -> 0
+  | Some inst -> (
+    match Instance.find_link inst rel with
+    | Some ix -> Instance.uses_to (Instance.links_ix inst ix) b
+    | None -> 0)
+
+(* The paper keeps one usage count per relationship link whatever the
+   traversal direction: (a, rel, b) and (b, rel, a) share it. *)
+let crossing_count t ~from_instance:a ~rel ~to_instance:b =
+  uses_along t a rel b + if a = b then 0 else uses_along t b rel a
+
+(* [f from rel_sym to count] for every link end crossed at least once. *)
+let iter_uses t f =
+  Array.iter
+    (function
+      | None -> ()
+      | Some (inst : Instance.t) ->
+        let lay = inst.Instance.layout.Schema.lay_links in
+        Array.iteri
+          (fun ix (l : Instance.links) ->
+            for j = 0 to min l.Instance.n (Array.length l.Instance.uses) - 1 do
+              let c = l.Instance.uses.(j) in
+              if c > 0 then f inst.Instance.id lay.(ix).Schema.li_sym l.Instance.ids.(j) c
+            done)
+          inst.Instance.links)
+    t.instances
+
+let add_count tbl key c = Hashtbl.replace tbl key (c + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+
+let crossings t =
+  let tbl = Hashtbl.create 64 in
+  iter_uses t (fun a sym b c -> add_count tbl (min a b, sym, max a b) c);
+  Hashtbl.fold
+    (fun (lo, sym, hi) c acc -> ({ from_instance = lo; rel = Symbol.name sym; to_instance = hi }, c) :: acc)
+    tbl []
+
+let rel_totals t =
+  let totals = Hashtbl.create 16 in
+  iter_uses t (fun _ sym _ c -> add_count totals sym c);
+  Hashtbl.fold (fun sym c acc -> (Symbol.name sym, c) :: acc) totals []
+  |> List.sort (fun (a, ca) (b, cb) -> match compare cb ca with 0 -> compare a b | c -> c)
+
 (* Usage statistics snapshot for the clustering strategies: every live
    instance with its access count, and every structural link with its
    accumulated crossing count (0 for never-traversed links) — the greedy
    inner loop can then pull cold neighbours into a hot block before
-   opening a new one. *)
+   opening a new one.  Links come once, from their lower id: by id, then
+   relationship name, then link order (the order the packers' tie-breaks
+   were recorded with).  Built back to front onto one list. *)
 let usage_snapshot t =
   let instances =
     instance_ids t |> List.map (fun id -> (id, Usage.instance_count t.usage id))
   in
-  let links =
-    instance_ids t
-    |> List.concat_map (fun id ->
-           let inst = get t id in
-           Instance.all_links inst
-           |> List.concat_map (fun (rel, ids) ->
-                  List.filter_map
-                    (fun other ->
-                      if id < other then
-                        Some
-                          {
-                            Cluster.a = id;
-                            b = other;
-                            rel;
-                            count =
-                              Usage.crossing_count t.usage ~from_instance:id ~rel
-                                ~to_instance:other;
-                          }
-                      else None)
-                    ids))
-  in
-  (instances, links)
+  let links = ref [] in
+  let order_of = ref [||] and order = ref [||] in
+  for id = Array.length t.instances - 1 downto 0 do
+    match t.instances.(id) with
+    | None -> ()
+    | Some inst ->
+      let lay = inst.Instance.layout.Schema.lay_links in
+      if lay != !order_of then begin
+        let by_name = Array.init (Array.length lay) Fun.id in
+        Array.stable_sort (fun x y -> compare lay.(x).Schema.li_name lay.(y).Schema.li_name) by_name;
+        order_of := lay;
+        order := by_name
+      end;
+      let order = !order in
+      for k = Array.length order - 1 downto 0 do
+        let ix = order.(k) in
+        if ix < Array.length inst.Instance.links then begin
+          let l = inst.Instance.links.(ix) and rel = lay.(ix).Schema.li_name in
+          for j = l.Instance.n - 1 downto 0 do
+            let other = l.Instance.ids.(j) in
+            if id < other then
+              links :=
+                {
+                  Cluster.a = id;
+                  b = other;
+                  rel;
+                  count = Instance.uses_to l other + uses_along t other rel id;
+                }
+                :: !links
+          done
+        end
+      done
+  done;
+  (instances, !links)
 
 (* Cluster time refreshes the worst-case statistics used as initial
    estimates for the decaying averages (§2.3): a link whose two ends now

@@ -100,8 +100,41 @@ val link : t -> from_id:int -> rel:string -> to_id:int -> unit
     existed. *)
 val unlink : t -> from_id:int -> rel:string -> to_id:int -> bool
 
-(** Related ids of [id] across [rel] (pager-charged). *)
+(** Related ids of [id] across [rel] (pager-charged); records one
+    crossing on each link listed. *)
 val linked : t -> int -> string -> int list
+
+(** {1 Crossing counts (§2.3)}
+
+    Each link counts its own crossings ({!Instance.links}); these read
+    them back.  The paper keeps one usage count per relationship link
+    whatever the traversal direction, so a crossing is named by an
+    unordered pair of ids plus the traversing side's relationship name:
+    (a, rel, b) and (b, rel, a) share a count.  A link broken and made
+    again counts from 0. *)
+
+type crossing = {
+  from_instance : int;
+  rel : string;
+  to_instance : int;
+}
+
+val crossing_count : t -> from_instance:int -> rel:string -> to_instance:int -> int
+
+(** Every crossing with a nonzero count, the lower id first (no
+    particular order). *)
+val crossings : t -> (crossing * int) list
+
+(** Crossing counts rolled up per relationship name — the export the
+    cost analyzer and [cactis analyze --db] consume to rank hot
+    relationships.  Sorted by descending count, then name. *)
+val rel_totals : t -> (string * int) list
+
+(** The clustering input: every live instance with its access count,
+    and every structural link (once, from its lower id) with its
+    {!crossing_count}. *)
+val usage_snapshot :
+  t -> (int * int) list * Cactis_storage.Cluster.link list
 
 (** {1 Slots (pager-charged)} *)
 

@@ -1,6 +1,5 @@
 module Store = Cactis.Store
 module Instance = Cactis.Instance
-module Usage = Cactis_storage.Usage
 module Cluster = Cactis_storage.Cluster
 module Rng = Cactis_util.Rng
 
@@ -40,29 +39,7 @@ let by_usage store ~sites =
   let ids = Store.instance_ids store in
   let n = List.length ids in
   let capacity = max 1 ((n + sites - 1) / sites) in
-  let usage = Store.usage store in
-  let instances = List.map (fun id -> (id, Usage.instance_count usage id)) ids in
-  let links =
-    ids
-    |> List.concat_map (fun id ->
-           let inst = Store.get store id in
-           Instance.all_links inst
-           |> List.concat_map (fun (rel, targets) ->
-                  List.filter_map
-                    (fun other ->
-                      if id < other then
-                        Some
-                          {
-                            Cluster.a = id;
-                            b = other;
-                            rel;
-                            count =
-                              Usage.crossing_count usage ~from_instance:id ~rel
-                                ~to_instance:other;
-                          }
-                      else None)
-                    targets))
-  in
+  let instances, links = Store.usage_snapshot store in
   let assignment = Cluster.pack ~block_capacity:capacity ~instances ~links in
   (* The greedy packer may open more "blocks" than sites when capacities
      round awkwardly; fold the overflow back round-robin. *)
@@ -104,9 +81,9 @@ let site_of_range t id =
 let range_bounds t = Array.copy t.bounds
 
 let traffic store t ~cross =
-  Usage.crossings (Store.usage store)
+  Store.crossings store
   |> List.fold_left
-       (fun acc ({ Usage.from_instance; to_instance; _ }, count) ->
+       (fun acc ({ Store.from_instance; to_instance; _ }, count) ->
          match (site_of t from_instance, site_of t to_instance) with
          | Some a, Some b when (a <> b) = cross -> acc + count
          | Some _, Some _ -> acc

@@ -264,29 +264,6 @@ let writer_loop t db =
 
 (* ---- Reader domains ---- *)
 
-(* Depth-limited reachability: a node is visited at the shallowest
-   depth it is seen at, so [depth] bounds hops from the root ([< 0] =
-   unbounded). *)
-let traverse db ~root ~rel ~attr ~depth =
-  let seen = Hashtbl.create 64 in
-  let values = ref [] in
-  let frontier = ref [ root ] in
-  let d = ref 0 in
-  while !frontier <> [] && (depth < 0 || !d <= depth) do
-    let next = ref [] in
-    List.iter
-      (fun id ->
-        if not (Hashtbl.mem seen id) then begin
-          Hashtbl.add seen id ();
-          values := Db.get db ~watch:false id attr :: !values;
-          next := List.rev_append (Db.related db id rel) !next
-        end)
-      !frontier;
-    frontier := !next;
-    incr d
-  done;
-  (Hashtbl.length seen, Value.sum !values)
-
 let reader_serve t ~name r { j_conn; j_env; j_req; j_start_ns } =
   let replica = Replica.db r and version = (Replica.cursor r).Replica.records in
   let h0, m0 = pool_stats replica in
@@ -306,7 +283,7 @@ let reader_serve t ~name r { j_conn; j_env; j_req; j_start_ns } =
       | Proto.Read { instance; attr; _ } ->
         Proto.Value { version; value = Db.get replica ~watch:false instance attr }
       | Proto.Traverse { root; rel; attr; depth; _ } ->
-        let visited, total = traverse replica ~root ~rel ~attr ~depth in
+        let visited, total = Db.traverse replica ~root ~rel ~attr ~depth in
         Proto.Traversed { version; visited; total }
       | req ->
         Proto.Error

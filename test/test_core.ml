@@ -465,6 +465,159 @@ let test_reentrant_wave () =
       check_value (Printf.sprintf "node %d" id) (vstr want) (vstr (Db.get db id "total")))
     (Array.to_list xs @ Array.to_list ys)
 
+(* ---- Db.traverse against the list walk it replaced ---- *)
+
+(* The walk [Db.traverse] must reproduce, written over [Db.get] and
+   [Db.related]: a node is visited at the shallowest depth it is seen
+   at, and the values are summed newest first. *)
+let list_walk db ~root ~rel ~attr ~depth =
+  let seen = Hashtbl.create 64 in
+  let values = ref [] in
+  let frontier = ref [ root ] in
+  let d = ref 0 in
+  while !frontier <> [] && (depth < 0 || !d <= depth) do
+    let next = ref [] in
+    List.iter
+      (fun id ->
+        if not (Hashtbl.mem seen id) then begin
+          Hashtbl.add seen id ();
+          values := Db.get db ~watch:false id attr :: !values;
+          next := List.rev_append (Db.related db id rel) !next
+        end)
+      !frontier;
+    frontier := !next;
+    incr d
+  done;
+  (Hashtbl.length seen, Value.sum !values)
+
+(* Nodes with an int-or-float payload and a derived sum of the payloads
+   across [refs]; a second type has neither, so a walk reaching it
+   fails the way a lookup of an unknown attribute does. *)
+let graph_schema () =
+  let sch = Schema.create () in
+  Schema.add_type sch "node";
+  Schema.add_type sch "other";
+  Schema.declare_relationship sch ~from_type:"node" ~rel:"refs" ~to_type:"node" ~inverse:"rrefs"
+    ~card:Schema.Multi ~inverse_card:Schema.Multi;
+  Schema.declare_relationship sch ~from_type:"node" ~rel:"tag" ~to_type:"other" ~inverse:"tagged"
+    ~card:Schema.Multi ~inverse_card:Schema.Multi;
+  Schema.add_attr sch ~type_name:"node" (Rule.intrinsic "p" (int 0));
+  Schema.add_attr sch ~type_name:"node" (Rule.derived "dv" (Rule.sum_rel "refs" "p"));
+  Schema.add_attr sch ~type_name:"other" (Rule.intrinsic "q" (int 0));
+  sch
+
+type graph = {
+  payloads : (bool * int) list;  (* per node: float?, value *)
+  edges : (int * int) list;  (* refs links, self-loops and duplicates allowed *)
+  deleted : int list;
+  tagged : int list;  (* nodes linked to an "other" across [tag] *)
+}
+
+let build_graph g =
+  let db = Db.create ~block_capacity:2 ~buffer_capacity:3 (graph_schema ()) in
+  let ids = Array.of_list (List.map (fun _ -> Db.create_instance db "node") g.payloads) in
+  let n = Array.length ids in
+  List.iteri
+    (fun i (is_float, v) ->
+      Db.set db ids.(i) "p" (if is_float then Value.Float (float_of_int v /. 7.) else int v))
+    g.payloads;
+  List.iter (fun (a, b) -> Db.link db ~from_id:ids.(a mod n) ~rel:"refs" ~to_id:ids.(b mod n)) g.edges;
+  List.iter
+    (fun a ->
+      let o = Db.create_instance db "other" in
+      Db.link db ~from_id:ids.(a mod n) ~rel:"tag" ~to_id:o)
+    g.tagged;
+  List.iter
+    (fun a -> if Store.mem (Db.store db) ids.(a mod n) then Db.delete_instance db ids.(a mod n))
+    g.deleted;
+  (db, ids)
+
+let same_value a b =
+  match (a, b) with
+  | Value.Float x, Value.Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> a = b
+
+(* Everything a walk charges: counters, pool hits and misses, access
+   counts, and every link's crossing count. *)
+let charges db =
+  let st = Db.store db in
+  let pool = Cactis_storage.Pager.pool (Store.pager st) in
+  ( Counters.snapshot (Db.counters db),
+    (Cactis_storage.Buffer_pool.hits pool, Cactis_storage.Buffer_pool.misses pool),
+    List.sort compare (Cactis_storage.Usage.instances (Store.usage st)),
+    List.sort compare (Store.crossings st),
+    snd (Store.usage_snapshot st) )
+
+let graph_gen =
+  QCheck.Gen.(
+    int_range 1 10 >>= fun n ->
+    let node = int_range 0 (n - 1) in
+    map4
+      (fun payloads edges deleted tagged -> { payloads; edges; deleted; tagged })
+      (list_repeat n (pair bool (int_range (-50) 50)))
+      (list_size (int_range 0 (3 * n)) (pair node node))
+      (list_size (int_range 0 2) node)
+      (list_size (int_range 0 1) node))
+
+let queries_gen =
+  QCheck.Gen.(
+    list_size (int_range 1 8)
+      (quad (int_range (-1) 11)
+         (frequencyl [ (4, "refs"); (2, "rrefs"); (1, "tag"); (1, "nope") ])
+         (frequencyl [ (4, "p"); (3, "dv"); (1, "nope") ])
+         (int_range (-1) 3)))
+
+let prop_traverse_matches_list_walk =
+  QCheck.Test.make ~name:"traverse matches the get/related walk" ~count:300
+    QCheck.(
+      make
+        ~print:(fun (g, qs) ->
+          Printf.sprintf "payloads=%s edges=%s deleted=%s tagged=%s queries=%s"
+            (Print.(list (pair bool int)) g.payloads)
+            (Print.(list (pair int int)) g.edges)
+            (Print.(list int) g.deleted) (Print.(list int) g.tagged)
+            (Print.(list (quad int string string int)) qs))
+        Gen.(pair graph_gen queries_gen))
+    (fun (g, queries) ->
+      let db_walk, ids = build_graph g and db_trav, _ = build_graph g in
+      let root_of r = if r < 0 then -5 else if r < Array.length ids then ids.(r) else 1000 + r in
+      List.for_all
+        (fun (r, rel, attr, depth) ->
+          let root = root_of r in
+          let outcome f = match f () with v -> Ok v | exception e -> Error (Printexc.to_string e) in
+          let expected = outcome (fun () -> list_walk db_walk ~root ~rel ~attr ~depth)
+          and got = outcome (fun () -> Db.traverse db_trav ~root ~rel ~attr ~depth) in
+          (match (expected, got) with
+          | Ok (n1, v1), Ok (n2, v2) -> n1 = n2 && same_value v1 v2
+          | Error e1, Error e2 -> String.equal e1 e2
+          | Ok _, Error _ | Error _, Ok _ -> false)
+          && charges db_walk = charges db_trav)
+        queries)
+
+(* A warm traversal allocates a bounded number of words whatever its
+   size: the result pair and its sum, and the layout resolution. *)
+let test_traverse_allocation () =
+  let db = Db.create ~buffer_capacity:max_int (graph_schema ()) in
+  let ids = Array.init 2_000 (fun _ -> Db.create_instance db "node") in
+  Array.iteri
+    (fun i id ->
+      Db.set db id "p" (int i);
+      if i > 0 then Db.link db ~from_id:ids.((i - 1) / 2) ~rel:"refs" ~to_id:id)
+    ids;
+  let words depth =
+    ignore (Db.traverse db ~root:ids.(0) ~rel:"refs" ~attr:"dv" ~depth);
+    minor_words_during (fun () ->
+        ignore (Db.traverse db ~root:ids.(0) ~rel:"refs" ~attr:"dv" ~depth))
+  in
+  let small = words 3 and whole = words (-1) in
+  let visited, total = Db.traverse db ~root:ids.(0) ~rel:"refs" ~attr:"p" ~depth:(-1) in
+  Alcotest.(check int) "whole tree visited" 2_000 visited;
+  check_value "payload sum" "1999000" (vstr total);
+  Alcotest.(check bool)
+    (Printf.sprintf "15-node walk %.0f words, 2000-node walk %.0f words (<= 40)" small whole)
+    true
+    (small <= 40. && whole <= 40.)
+
 let () =
   Alcotest.run "cactis-core"
     [
@@ -502,5 +655,10 @@ let () =
           Alcotest.test_case "watch validates" `Quick test_watch_validates;
           Alcotest.test_case "delete purges watches" `Quick test_delete_purges_watches;
           Alcotest.test_case "re-entrant wave" `Quick test_reentrant_wave;
+        ] );
+      ( "traverse",
+        [
+          Alcotest.test_case "warm traversal allocates O(1) words" `Quick test_traverse_allocation;
+          QCheck_alcotest.to_alcotest prop_traverse_matches_list_walk;
         ] );
     ]

@@ -173,119 +173,219 @@ let test_forget_bounds_churn () =
     true
     (Pager.blocks_in_use pager <= base + 1)
 
-(* ---- Usage ---- *)
+(* ---- Usage: access counts, and crossing counts on the links ---- *)
+
+(* Nodes with two relationships and their inverses; every end is Multi,
+   so duplicate links and self-loops are allowed. *)
+let usage_rels = [| "r"; "ri"; "s"; "si" |]
+let usage_inverse = [| 1; 0; 3; 2 |]
+
+let usage_store n =
+  let sch = Cactis.Schema.create () in
+  Cactis.Schema.add_type sch "node";
+  List.iter
+    (fun (rel, inverse) ->
+      Cactis.Schema.declare_relationship sch ~from_type:"node" ~rel ~to_type:"node" ~inverse
+        ~card:Cactis.Schema.Multi ~inverse_card:Cactis.Schema.Multi)
+    [ ("r", "ri"); ("s", "si") ];
+  let st = Cactis.Store.create sch in
+  let ids = Array.init n (fun _ -> (Cactis.Store.create_instance st "node").Cactis.Instance.id) in
+  (st, ids)
 
 let test_usage_counts () =
-  let u = Usage.create () in
-  Usage.touch_instance u 1;
-  Usage.touch_instance u 1;
-  Usage.cross u ~from_instance:1 ~rel:"r" ~to_instance:2;
-  Usage.cross u ~from_instance:2 ~rel:"r" ~to_instance:1;
-  Alcotest.(check int) "instance count" 2 (Usage.instance_count u 1);
-  Alcotest.(check int) "crossing symmetric" 2
-    (Usage.crossing_count u ~from_instance:1 ~rel:"r" ~to_instance:2);
-  Usage.forget_instance u 1;
-  Alcotest.(check int) "forgotten" 0 (Usage.instance_count u 1);
-  Alcotest.(check int) "crossings forgotten" 0
-    (Usage.crossing_count u ~from_instance:1 ~rel:"r" ~to_instance:2)
+  let module Store = Cactis.Store in
+  let st, ids = usage_store 2 in
+  let a = ids.(0) and b = ids.(1) in
+  Store.link st ~from_id:a ~rel:"r" ~to_id:b;
+  Store.link st ~from_id:b ~rel:"r" ~to_id:a;
+  ignore (Store.linked st a "r");
+  ignore (Store.linked st b "r");
+  let count () = Store.crossing_count st ~from_instance:a ~rel:"r" ~to_instance:b in
+  (* Two links plus two listings: 2 touches each, then 1 more each. *)
+  Alcotest.(check int) "instance count" 3 (Usage.instance_count (Store.usage st) a);
+  Alcotest.(check int) "crossing symmetric" 2 (count ());
+  Alcotest.(check int) "same count from the other end" 2
+    (Store.crossing_count st ~from_instance:b ~rel:"r" ~to_instance:a);
+  Alcotest.(check (list (pair string int))) "rel totals" [ ("r", 2) ] (Store.rel_totals st);
+  (* The count lives on the link: breaking it drops that end's share,
+     and a link made again counts from 0. *)
+  ignore (Store.unlink st ~from_id:a ~rel:"r" ~to_id:b);
+  Alcotest.(check int) "unlinked end dropped" 1 (count ());
+  Store.link st ~from_id:a ~rel:"r" ~to_id:b;
+  Alcotest.(check int) "relinked from 0" 1 (count ());
+  ignore (Store.unlink st ~from_id:a ~rel:"r" ~to_id:b);
+  ignore (Store.unlink st ~from_id:b ~rel:"r" ~to_id:a);
+  Store.delete_instance st a;
+  Alcotest.(check int) "forgotten" 0 (Usage.instance_count (Store.usage st) a);
+  Alcotest.(check int) "crossings forgotten" 0 (count ());
+  Alcotest.(check (list (pair string int))) "no totals left" [] (Store.rel_totals st)
 
-(* [Usage] against a reference model: a hash table keyed by the
-   canonical (lo, rel, hi) crossing, plus per-instance counts.  Ops mix
-   both crossing entry points, both directions, self-crossings, three
-   relationship names, forgets and resets. *)
+(* Crossing counts against a reference model: per (instance, rel), the
+   list of linked ids in link order, each with its own count.  Ops link
+   and unlink in both directions (duplicates and self-loops included),
+   list a relationship (one crossing per link), touch and delete
+   instances, and reset the access counts.  After every op each
+   [crossing_count], the [crossings] and [rel_totals] exports, the
+   clustering snapshot's link counts and the access counts must match. *)
 type usage_op =
-  | Cross of int * int * int * bool  (* from, rel index, to, via cross_sym *)
+  | Link of int * int * int  (* from, rel index, to *)
+  | Unlink of int * int * int
+  | Cross of int * int
   | Touch of int
-  | Forget of int
+  | Delete of int
   | Reset
 
-let usage_rels = [| "r"; "s"; "t" |]
-let usage_ids = 10
+let usage_ids = 8
 
 let usage_op_gen =
   QCheck.Gen.(
-    let id = int_range 0 (usage_ids - 1) and rel = int_range 0 2 in
+    let id = int_range 0 (usage_ids - 1) and rel = int_range 0 3 in
     frequency
       [
-        (12, map (fun (a, r, b, sym) -> Cross (a, r, b, sym)) (quad id rel id bool));
-        (3, map2 (fun a r -> Cross (a, r, a, false)) id rel);
+        (6, map (fun (a, r, b) -> Link (a, r, b)) (triple id rel id));
+        (2, map2 (fun a r -> Link (a, r, a)) id rel);
+        (3, map (fun (a, r, b) -> Unlink (a, r, b)) (triple id rel id));
+        (10, map2 (fun a r -> Cross (a, r)) id rel);
         (3, map (fun a -> Touch a) id);
-        (2, map (fun a -> Forget a) id);
+        (1, map (fun a -> Delete a) id);
         (1, return Reset);
       ])
 
 let print_usage_op = function
-  | Cross (a, r, b, sym) ->
-    Printf.sprintf "%s %d %s %d" (if sym then "cross_sym" else "cross") a usage_rels.(r) b
+  | Link (a, r, b) -> Printf.sprintf "link %d %s %d" a usage_rels.(r) b
+  | Unlink (a, r, b) -> Printf.sprintf "unlink %d %s %d" a usage_rels.(r) b
+  | Cross (a, r) -> Printf.sprintf "list %d %s" a usage_rels.(r)
   | Touch a -> Printf.sprintf "touch %d" a
-  | Forget a -> Printf.sprintf "forget %d" a
+  | Delete a -> Printf.sprintf "delete %d" a
   | Reset -> "reset"
 
 let prop_usage_reference_model =
   QCheck.Test.make ~name:"usage matches reference hash-table model" ~count:300
     QCheck.(make ~print:Print.(list print_usage_op) Gen.(list_size (int_range 0 60) usage_op_gen))
     (fun ops ->
-      let u = Usage.create () in
-      let crossings = Hashtbl.create 16 and touches = Hashtbl.create 16 in
-      let bump tbl k = Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)) in
+      let module Store = Cactis.Store in
+      let st, ids = usage_store usage_ids in
+      let live = Array.make usage_ids true in
+      (* (position, rel index) -> (linked position, count) list, link order *)
+      let ends = Hashtbl.create 16 and touches = Hashtbl.create 16 in
+      let get_end a r = Option.value ~default:[] (Hashtbl.find_opt ends (a, r)) in
+      let bump tbl k n = Hashtbl.replace tbl k (n + Option.value ~default:0 (Hashtbl.find_opt tbl k)) in
+      let touch a = bump touches ids.(a) 1 in
+      let rec drop_first b = function
+        | [] -> []
+        | (x, c) :: rest -> if x = b then rest else (x, c) :: drop_first b rest
+      in
+      let model_uses a r b =
+        List.fold_left (fun acc (x, c) -> if x = b then acc + c else acc) 0 (get_end a r)
+      in
+      let model_count a r b = model_uses a r b + if a = b then 0 else model_uses b r a in
       let sorted l = List.sort compare l in
       let agrees () =
         let counts_ok = ref true in
         for a = 0 to usage_ids - 1 do
           for b = 0 to usage_ids - 1 do
-            Array.iter
-              (fun rel ->
-                let expected =
-                  Option.value ~default:0 (Hashtbl.find_opt crossings (min a b, rel, max a b))
-                in
+            Array.iteri
+              (fun r rel ->
                 counts_ok :=
                   !counts_ok
-                  && Usage.crossing_count u ~from_instance:a ~rel ~to_instance:b = expected)
+                  && Store.crossing_count st ~from_instance:ids.(a) ~rel ~to_instance:ids.(b)
+                     = model_count a r b)
               usage_rels
           done
         done;
+        let canonical = Hashtbl.create 16 and totals = Hashtbl.create 4 in
+        Hashtbl.iter
+          (fun (a, r) l ->
+            List.iter
+              (fun (b, c) ->
+                if c > 0 then begin
+                  bump canonical (min ids.(a) ids.(b), usage_rels.(r), max ids.(a) ids.(b)) c;
+                  bump totals usage_rels.(r) c
+                end)
+              l)
+          ends;
         let model_crossings =
           Hashtbl.fold
-            (fun (lo, rel, hi) c acc -> ({ Usage.from_instance = lo; rel; to_instance = hi }, c) :: acc)
-            crossings []
+            (fun (lo, rel, hi) c acc -> ({ Store.from_instance = lo; rel; to_instance = hi }, c) :: acc)
+            canonical []
         in
-        let totals = Hashtbl.create 4 in
-        Hashtbl.iter
-          (fun (_, rel, _) c ->
-            Hashtbl.replace totals rel (c + Option.value ~default:0 (Hashtbl.find_opt totals rel)))
-          crossings;
         let model_totals =
           Hashtbl.fold (fun rel c acc -> (rel, c) :: acc) totals []
           |> List.sort (fun (a, ca) (b, cb) -> match compare cb ca with 0 -> compare a b | c -> c)
         in
+        let model_links =
+          Hashtbl.fold
+            (fun (a, r) l acc ->
+              List.fold_left
+                (fun acc (b, _) ->
+                  if ids.(a) < ids.(b) then (ids.(a), ids.(b), usage_rels.(r), model_count a r b) :: acc
+                  else acc)
+                acc l)
+            ends []
+        in
+        let snapshot_instances, snapshot_links = Store.usage_snapshot st in
         !counts_ok
-        && sorted (Usage.crossings u) = sorted model_crossings
-        && Usage.rel_totals u = model_totals
-        && sorted (Usage.instances u) = sorted (Hashtbl.fold (fun id c acc -> (id, c) :: acc) touches [])
+        && sorted (Store.crossings st) = sorted model_crossings
+        && Store.rel_totals st = model_totals
+        && sorted
+             (List.map (fun (l : Cluster.link) -> (l.Cluster.a, l.b, l.rel, l.count)) snapshot_links)
+           = sorted model_links
+        && sorted (Usage.instances (Store.usage st))
+           = sorted (Hashtbl.fold (fun id c acc -> if c > 0 then (id, c) :: acc else acc) touches [])
+        && List.for_all
+             (fun (id, c) -> c = Option.value ~default:0 (Hashtbl.find_opt touches id))
+             snapshot_instances
       in
       List.for_all
         (fun op ->
           (match op with
-          | Cross (a, r, b, sym) ->
-            let rel = usage_rels.(r) in
-            if sym then
-              Usage.cross_sym u ~from_instance:a ~rel_sym:(Cactis_util.Symbol.intern rel)
-                ~to_instance:b
-            else Usage.cross u ~from_instance:a ~rel ~to_instance:b;
-            bump crossings (min a b, rel, max a b)
-          | Touch a ->
-            Usage.touch_instance u a;
-            bump touches a
-          | Forget a ->
-            Usage.forget_instance u a;
-            Hashtbl.remove touches a;
+          | Link (a, r, b) when live.(a) && live.(b) ->
+            Store.link st ~from_id:ids.(a) ~rel:usage_rels.(r) ~to_id:ids.(b);
+            touch a;
+            touch b;
+            Hashtbl.replace ends (a, r) (get_end a r @ [ (b, 0) ]);
+            let ir = usage_inverse.(r) in
+            Hashtbl.replace ends (b, ir) (get_end b ir @ [ (a, 0) ])
+          | Unlink (a, r, b) when live.(a) && live.(b) ->
+            let present = List.mem_assoc b (get_end a r) in
+            Alcotest.(check bool) "unlink finds the model's link" present
+              (Store.unlink st ~from_id:ids.(a) ~rel:usage_rels.(r) ~to_id:ids.(b));
+            touch a;
+            touch b;
+            if present then begin
+              Hashtbl.replace ends (a, r) (drop_first b (get_end a r));
+              let ir = usage_inverse.(r) in
+              Hashtbl.replace ends (b, ir) (drop_first a (get_end b ir))
+            end
+          | Cross (a, r) when live.(a) ->
+            ignore (Store.linked st ids.(a) usage_rels.(r));
+            touch a;
+            Hashtbl.replace ends (a, r) (List.map (fun (b, c) -> (b, c + 1)) (get_end a r))
+          | Touch a when live.(a) ->
+            Store.touch st ids.(a);
+            touch a
+          | Delete a when live.(a) ->
+            Array.iteri
+              (fun r _ ->
+                List.iter
+                  (fun (b, _) ->
+                    if Store.unlink st ~from_id:ids.(a) ~rel:usage_rels.(r) ~to_id:ids.(b) then begin
+                      touch a;
+                      touch b
+                    end)
+                  (get_end a r))
+              usage_rels;
             Hashtbl.filter_map_inplace
-              (fun (lo, _, hi) c -> if lo = a || hi = a then None else Some c)
-              crossings
+              (fun (x, _) l ->
+                if x = a then None else Some (List.filter (fun (y, _) -> y <> a) l))
+              ends;
+            Store.delete_instance st ids.(a);
+            live.(a) <- false;
+            Hashtbl.remove touches ids.(a)
           | Reset ->
-            Usage.reset u;
-            Hashtbl.reset crossings;
-            Hashtbl.reset touches);
+            Usage.reset (Store.usage st);
+            Hashtbl.reset touches
+          | Link _ | Unlink _ | Cross _ | Touch _ | Delete _ -> ());
           agrees ())
         ops)
 
@@ -298,22 +398,28 @@ let minor_words_during f =
   Gc.minor_words () -. before
 
 let test_access_bookkeeping_allocation_free () =
-  let u = Usage.create () in
-  let r = Cactis_util.Symbol.intern "r" and s = Cactis_util.Symbol.intern "s" in
+  let module Store = Cactis.Store in
+  let st, ids = usage_store 101 in
+  for a = 0 to 99 do
+    Store.link st ~from_id:ids.(a) ~rel:"r" ~to_id:ids.(a + 1)
+  done;
+  let r_of a = Cactis.Instance.links_ix (Store.get st ids.(a)) 0
+  and ri_of a = Cactis.Instance.links_ix (Store.get st ids.(a)) 1 in
   let cross_all () =
     for k = 0 to 9_999 do
       let a = k mod 100 in
-      if k land 1 = 0 then Usage.cross_sym u ~from_instance:a ~rel_sym:r ~to_instance:(a + 1)
-      else Usage.cross_sym u ~from_instance:(a + 1) ~rel_sym:s ~to_instance:a
+      if k land 1 = 0 then Cactis.Instance.cross (r_of a) 0
+      else Cactis.Instance.cross (ri_of (a + 1)) 0
     done
   in
   cross_all ();
   let words = minor_words_during cross_all in
   Alcotest.(check bool) (Printf.sprintf "10k re-crossings allocate %.0f words" words) true
     (words <= 16.);
-  (* Two passes, each crossing (0, r, 1) at every k = 0 mod 100. *)
+  (* Two passes, each crossing 0 -r-> 1 at every k = 0 mod 100 and
+     1 -ri-> 0 at every k = 1 mod 100 (a different relationship name). *)
   Alcotest.(check int) "counts kept" 200
-    (Usage.crossing_count u ~from_instance:0 ~rel:"r" ~to_instance:1);
+    (Store.crossing_count st ~from_instance:ids.(0) ~rel:"r" ~to_instance:ids.(1));
   let pool = Buffer_pool.create ~capacity:max_int (Disk.create ()) in
   for b = 0 to 99 do
     ignore (Buffer_pool.touch pool b)
