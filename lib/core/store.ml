@@ -306,21 +306,35 @@ type crossing = {
   to_instance : int;
 }
 
-(* Crossings recorded from [a] along its relationship [rel] to [b]. *)
-let uses_along t a rel b =
+(* A link is crossed from either end: [a -rel-> b] counts on [a]'s
+   [rel] vector and on [b]'s inverse vector, and its usage count is the
+   sum of the two (§2.3's "total usage count for the relationship").
+   [inverse_end t a li b] is [b]'s end of [a]'s link [li], if [b] is of
+   the link's target type; a self-loop of a relationship that is its
+   own inverse has one end. *)
+let inverse_end t a ix (li : Schema.link_info) b =
+  match get_opt t b with
+  | Some binst
+    when li.Schema.li_inverse_ix >= 0
+         && String.equal binst.Instance.type_name li.Schema.li_def.Schema.target
+         && not (a = b && li.Schema.li_inverse_ix = ix) ->
+    Some (Instance.links_ix binst li.Schema.li_inverse_ix)
+  | Some _ | None -> None
+
+let link_count t (ainst : Instance.t) ix b =
+  let a = ainst.Instance.id in
+  let here = Instance.uses_to (Instance.links_ix ainst ix) b in
+  match inverse_end t a ix ainst.Instance.layout.Schema.lay_links.(ix) b with
+  | Some l -> here + Instance.uses_to l a
+  | None -> here
+
+let crossing_count t ~from_instance:a ~rel ~to_instance:b =
   match get_opt t a with
   | None -> 0
-  | Some inst -> (
-    match Instance.find_link inst rel with
-    | Some ix -> Instance.uses_to (Instance.links_ix inst ix) b
-    | None -> 0)
+  | Some ainst -> (
+    match Instance.find_link ainst rel with Some ix -> link_count t ainst ix b | None -> 0)
 
-(* The paper keeps one usage count per relationship link whatever the
-   traversal direction: (a, rel, b) and (b, rel, a) share it. *)
-let crossing_count t ~from_instance:a ~rel ~to_instance:b =
-  uses_along t a rel b + if a = b then 0 else uses_along t b rel a
-
-(* [f from rel_sym to count] for every link end crossed at least once. *)
+(* [f from link_info to count] for every link end crossed at least once. *)
 let iter_uses t f =
   Array.iter
     (function
@@ -331,24 +345,31 @@ let iter_uses t f =
           (fun ix (l : Instance.links) ->
             for j = 0 to min l.Instance.n (Array.length l.Instance.uses) - 1 do
               let c = l.Instance.uses.(j) in
-              if c > 0 then f inst.Instance.id lay.(ix).Schema.li_sym l.Instance.ids.(j) c
+              if c > 0 then f inst.Instance.id lay.(ix) l.Instance.ids.(j) c
             done)
           inst.Instance.links)
     t.instances
 
 let add_count tbl key c = Hashtbl.replace tbl key (c + Option.value ~default:0 (Hashtbl.find_opt tbl key))
 
+(* A link is named from its lower id's side; a self-loop by the smaller
+   of its two names. *)
 let crossings t =
   let tbl = Hashtbl.create 64 in
-  iter_uses t (fun a sym b c -> add_count tbl (min a b, sym, max a b) c);
+  iter_uses t (fun a (li : Schema.link_info) b c ->
+      let name = li.Schema.li_name and inverse = li.Schema.li_def.Schema.inverse in
+      let key =
+        if a < b then (a, name, b) else if a > b then (b, inverse, a) else (a, min name inverse, a)
+      in
+      add_count tbl key c);
   Hashtbl.fold
-    (fun (lo, sym, hi) c acc -> ({ from_instance = lo; rel = Symbol.name sym; to_instance = hi }, c) :: acc)
+    (fun (lo, rel, hi) c acc -> ({ from_instance = lo; rel; to_instance = hi }, c) :: acc)
     tbl []
 
 let rel_totals t =
   let totals = Hashtbl.create 16 in
-  iter_uses t (fun _ sym _ c -> add_count totals sym c);
-  Hashtbl.fold (fun sym c acc -> (Symbol.name sym, c) :: acc) totals []
+  iter_uses t (fun _ (li : Schema.link_info) _ c -> add_count totals li.Schema.li_name c);
+  Hashtbl.fold (fun rel c acc -> (rel, c) :: acc) totals []
   |> List.sort (fun (a, ca) (b, cb) -> match compare cb ca with 0 -> compare a b | c -> c)
 
 (* Usage statistics snapshot for the clustering strategies: every live
@@ -388,7 +409,7 @@ let usage_snapshot t =
                   Cluster.a = id;
                   b = other;
                   rel;
-                  count = Instance.uses_to l other + uses_along t other rel id;
+                  count = link_count t inst ix other;
                 }
                 :: !links
           done

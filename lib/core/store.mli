@@ -106,11 +106,11 @@ val linked : t -> int -> string -> int list
 
 (** {1 Crossing counts (§2.3)}
 
-    Each link counts its own crossings ({!Instance.links}); these read
-    them back.  The paper keeps one usage count per relationship link
-    whatever the traversal direction, so a crossing is named by an
-    unordered pair of ids plus the traversing side's relationship name:
-    (a, rel, b) and (b, rel, a) share a count.  A link broken and made
+    Each link end counts its own crossings ({!Instance.links}); these
+    read them back.  The paper keeps one usage count per relationship
+    link whatever the traversal direction, so the count of the link
+    [a -rel-> b] is the sum of its two ends: crossings from [a] along
+    [rel] and from [b] along [rel]'s inverse.  A link broken and made
     again counts from 0. *)
 
 type crossing = {
@@ -121,11 +121,13 @@ type crossing = {
 
 val crossing_count : t -> from_instance:int -> rel:string -> to_instance:int -> int
 
-(** Every crossing with a nonzero count, the lower id first (no
-    particular order). *)
+(** Every crossed link with its count, named from its lower id's side
+    (a self-loop by the smaller of its two names), in no particular
+    order. *)
 val crossings : t -> (crossing * int) list
 
-(** Crossing counts rolled up per relationship name — the export the
+(** Crossing counts rolled up per relationship name, as traversed
+    (each end under its own name) — the export the
     cost analyzer and [cactis analyze --db] consume to rank hot
     relationships.  Sorted by descending count, then name. *)
 val rel_totals : t -> (string * int) list
