@@ -32,7 +32,7 @@ type t = {
   mutable high : int array;
   mutable high_rd : int;
   mutable high_wr : int;
-  cost_heap : int Pqueue.t;
+  cost_heap : Pqueue.t;
   mutable blk_head : int array;  (* by block number; -1 when no list *)
   mutable blocks : int array;  (* blocks given a list since the last reset *)
   mutable nblocks : int;

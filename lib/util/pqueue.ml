@@ -1,13 +1,14 @@
 (* Two parallel arrays: the priorities unboxed in a float array, the
-   payloads beside them.  A push stores one float and one payload word;
-   nothing is allocated once the arrays have grown to the queue's
-   high-water mark.  The sift logic (strict [<], smaller child first,
-   left child on ties) is the historical record heap's, so pop order,
-   ties included, is unchanged. *)
+   int payloads in an int array.  A push stores one float and one int
+   and never goes through the write barrier; nothing is allocated once
+   the arrays have grown to the queue's high-water mark.  The sift
+   logic (strict [<], smaller child first, left child on ties) is the
+   historical record heap's, so pop order, ties included, is
+   unchanged. *)
 
-type 'a t = {
+type t = {
   mutable prio : float array;
-  mutable data : 'a array;
+  mutable data : int array;
   mutable size : int;
 }
 
@@ -16,14 +17,13 @@ let create () = { prio = [||]; data = [||]; size = 0 }
 let is_empty t = t.size = 0
 let length t = t.size
 
-(* The first push supplies the filler for the payload array. *)
-let grow t x =
+let grow t =
   let cap = Array.length t.prio in
   if t.size = cap then begin
     let ncap = if cap = 0 then 16 else cap * 2 in
     let nprio = Array.make ncap 0.0 in
     Array.blit t.prio 0 nprio 0 t.size;
-    let ndata = Array.make ncap x in
+    let ndata = Array.make ncap 0 in
     Array.blit t.data 0 ndata 0 t.size;
     t.prio <- nprio;
     t.data <- ndata
@@ -56,7 +56,7 @@ let rec sift_down t i =
   end
 
 let push t prio x =
-  grow t x;
+  grow t;
   t.prio.(t.size) <- prio;
   t.data.(t.size) <- x;
   t.size <- t.size + 1;
@@ -77,16 +77,4 @@ let pop_opt t = if t.size = 0 then None else Some (pop t)
 
 let peek_priority t = if t.size = 0 then None else Some t.prio.(0)
 
-let drain t f =
-  let rec loop () =
-    match pop_opt t with
-    | None -> ()
-    | Some x ->
-      f x;
-      loop ()
-  in
-  loop ()
-
-(* Popped payload words stay in [data] until overwritten; the queue's
-   users hold immediates or objects they keep alive anyway. *)
 let clear t = t.size <- 0

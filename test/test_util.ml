@@ -57,13 +57,13 @@ let test_rng_zipf_skew () =
 
 let test_pqueue_order () =
   let q = Pqueue.create () in
-  List.iter (fun (p, x) -> Pqueue.push q p x) [ (3.0, "c"); (1.0, "a"); (2.0, "b"); (0.5, "z") ];
+  List.iter (fun (p, x) -> Pqueue.push q p x) [ (3.0, 30); (1.0, 10); (2.0, 20); (0.5, 5) ];
   let order = List.init 4 (fun _ -> Pqueue.pop q) in
-  Alcotest.(check (list string)) "ascending priority" [ "z"; "a"; "b"; "c" ] order;
+  Alcotest.(check (list int)) "ascending priority" [ 5; 10; 20; 30 ] order;
   Alcotest.(check bool) "now empty" true (Pqueue.is_empty q)
 
 let test_pqueue_empty () =
-  let q : int Pqueue.t = Pqueue.create () in
+  let q = Pqueue.create () in
   Alcotest.(check bool) "pop_opt empty" true (Pqueue.pop_opt q = None);
   (match Pqueue.pop q with
   | _ -> Alcotest.fail "expected Not_found"
@@ -75,11 +75,12 @@ let prop_pqueue_sorts =
     QCheck.(list (float_range (-100.0) 100.0))
     (fun ps ->
       let q = Pqueue.create () in
-      List.iter (fun p -> Pqueue.push q p p) ps;
+      let prio = Array.of_list ps in
+      Array.iteri (fun i p -> Pqueue.push q p i) prio;
       let rec collect acc =
         match Pqueue.pop_opt q with
         | None -> List.rev acc
-        | Some p -> collect (p :: acc)
+        | Some i -> collect (prio.(i) :: acc)
       in
       collect [] = List.sort compare ps)
 
@@ -155,14 +156,81 @@ module Model_heap = struct
     end
 end
 
+(* The parallel-array heap with polymorphic payloads that preceded the
+   int-payload one, kept verbatim as a second model. *)
+module Poly_heap = struct
+  type 'a t = { mutable prio : float array; mutable data : 'a array; mutable size : int }
+
+  let create () = { prio = [||]; data = [||]; size = 0 }
+
+  let grow t x =
+    let cap = Array.length t.prio in
+    if t.size = cap then begin
+      let ncap = if cap = 0 then 16 else cap * 2 in
+      let nprio = Array.make ncap 0.0 in
+      Array.blit t.prio 0 nprio 0 t.size;
+      let ndata = Array.make ncap x in
+      Array.blit t.data 0 ndata 0 t.size;
+      t.prio <- nprio;
+      t.data <- ndata
+    end
+
+  let swap t i j =
+    let p = t.prio.(i) in
+    t.prio.(i) <- t.prio.(j);
+    t.prio.(j) <- p;
+    let x = t.data.(i) in
+    t.data.(i) <- t.data.(j);
+    t.data.(j) <- x
+
+  let rec sift_up t i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if t.prio.(i) < t.prio.(parent) then begin
+        swap t i parent;
+        sift_up t parent
+      end
+    end
+
+  let rec sift_down t i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let smallest = if l < t.size && t.prio.(l) < t.prio.(i) then l else i in
+    let smallest = if r < t.size && t.prio.(r) < t.prio.(smallest) then r else smallest in
+    if smallest <> i then begin
+      swap t i smallest;
+      sift_down t smallest
+    end
+
+  let push t prio x =
+    grow t x;
+    t.prio.(t.size) <- prio;
+    t.data.(t.size) <- x;
+    t.size <- t.size + 1;
+    sift_up t (t.size - 1)
+
+  let pop_opt t =
+    if t.size = 0 then None
+    else begin
+      let top = t.data.(0) in
+      t.size <- t.size - 1;
+      if t.size > 0 then begin
+        t.prio.(0) <- t.prio.(t.size);
+        t.data.(0) <- t.data.(t.size);
+        sift_down t 0
+      end;
+      Some top
+    end
+end
+
 (* Random push/pop runs over few distinct priorities (so most pushes
-   tie), with pushes numbered in order: both heaps must pop exactly the
-   same sequence of numbers. *)
+   tie), with pushes numbered in order: all three heaps must pop exactly
+   the same sequence of numbers. *)
 let prop_pqueue_matches_model =
   QCheck.Test.make ~name:"pqueue pops the model heap's exact sequence" ~count:300
     QCheck.(list (option (int_range 0 4)))
     (fun ops ->
-      let q = Pqueue.create () and m = Model_heap.create () in
+      let q = Pqueue.create () and m = Model_heap.create () and poly = Poly_heap.create () in
+      let popped_p = ref [] in
       let n = ref 0 in
       let popped_q = ref [] and popped_m = ref [] in
       List.iter
@@ -171,18 +239,20 @@ let prop_pqueue_matches_model =
             let prio = float_of_int p /. 2.0 in
             Pqueue.push q prio !n;
             Model_heap.push m prio !n;
+            Poly_heap.push poly prio !n;
             incr n
           | None ->
             popped_q := Pqueue.pop_opt q :: !popped_q;
-            popped_m := Model_heap.pop_opt m :: !popped_m)
+            popped_m := Model_heap.pop_opt m :: !popped_m;
+            popped_p := Poly_heap.pop_opt poly :: !popped_p)
         ops;
-      let rec drain acc_q acc_m =
-        match (Pqueue.pop_opt q, Model_heap.pop_opt m) with
-        | None, None -> (acc_q, acc_m)
-        | a, b -> drain (a :: acc_q) (b :: acc_m)
+      let rec drain acc_q acc_m acc_p =
+        match (Pqueue.pop_opt q, Model_heap.pop_opt m, Poly_heap.pop_opt poly) with
+        | None, None, None -> (acc_q, acc_m, acc_p)
+        | a, b, c -> drain (a :: acc_q) (b :: acc_m) (c :: acc_p)
       in
-      let all_q, all_m = drain !popped_q !popped_m in
-      all_q = all_m)
+      let all_q, all_m, all_p = drain !popped_q !popped_m !popped_p in
+      all_q = all_m && all_q = all_p)
 
 (* ---- Itbl ---- *)
 
