@@ -680,8 +680,13 @@ let test_pack_scaling () =
     let links =
       List.init (n - 1) (fun i -> { Cluster.a = i; b = i + 1; rel = "r"; count = (i * 13) mod 97 })
     in
+    (* A domain's major-heap allocations reach [Gc.allocated_bytes] at
+       the next major slice: a full major on each side makes the count
+       exact. *)
+    Gc.full_major ();
     let before = Gc.allocated_bytes () in
     ignore (Cluster.pack ~block_capacity:8 ~instances ~links);
+    Gc.full_major ();
     (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
   in
   let w1 = words_pack 2500 in
