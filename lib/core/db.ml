@@ -461,17 +461,17 @@ let sum_down vals n =
   done;
   match !kind with 0 -> Value.Int !si | 1 -> Value.Float !sf | _ -> !acc
 
+let grow_ints a n =
+  let bigger = Array.make (max n (2 * Array.length a)) 0 in
+  Array.blit a 0 bigger 0 (Array.length a);
+  bigger
+
 (* Breadth-first, each level in the order the [Db.get]/[Db.related]
    walk over lists took it: that walk gathered level d + 1 as the
    reverse of its related lists, so ids are appended to [next] as
    related and every level is read from its last entry down.  Each
    node costs what [get ~watch:false] and [related] charge it: two
    touches and one crossing per link. *)
-let grow_ints a n =
-  let bigger = Array.make (max n (2 * Array.length a)) 0 in
-  Array.blit a 0 bigger 0 (Array.length a);
-  bigger
-
 let traverse_walk t ~root ~rel ~attr ~depth =
   let w = t.walk in
   w.epoch <- w.epoch + 1;
@@ -536,6 +536,7 @@ let traverse t ~root ~rel ~attr ~depth =
   with Errors.Constraint_violation _ as e ->
     if in_txn t then rollback_current t;
     raise e
+
 let type_of t id = (Store.get t.st id).Instance.type_name
 let instance_ids t = Store.instance_ids t.st
 let instances_of_type t type_name = Store.instances_of_type t.st type_name

@@ -137,7 +137,6 @@ and slot_info = {
 
 and cross_dep = {
   xd_link : int;
-  xd_rel_sym : int;
   xd_slot : int;
   xd_sym : int;
 }
@@ -630,7 +629,6 @@ let compile_layout t lay =
                     let rd = Hashtbl.find td.rel_tbl r in
                     {
                       xd_link = Hashtbl.find lay.lay_link_ix r;
-                      xd_rel_sym = Symbol.intern r;
                       xd_slot = slot_ix_of t rd.target b;
                       xd_sym = Symbol.intern b;
                     })

@@ -155,7 +155,6 @@ and slot_info = {
 
 and cross_dep = {
   xd_link : int;  (** link index (this type) to traverse *)
-  xd_rel_sym : int;  (** interned relationship name, for usage stats *)
   xd_slot : int;  (** dependent's slot index on the target type *)
   xd_sym : int;  (** dependent's interned attribute name *)
 }

@@ -309,9 +309,10 @@ type crossing = {
 (* A link is crossed from either end: [a -rel-> b] counts on [a]'s
    [rel] vector and on [b]'s inverse vector, and its usage count is the
    sum of the two (§2.3's "total usage count for the relationship").
-   [inverse_end t a li b] is [b]'s end of [a]'s link [li], if [b] is of
-   the link's target type; a self-loop of a relationship that is its
-   own inverse has one end. *)
+   [inverse_end t a ix li b] is [b]'s end of the link from [a]'s link
+   vector [ix] (described by [li]), if [b] is of the link's target
+   type; a self-loop of a relationship that is its own inverse has one
+   end. *)
 let inverse_end t a ix (li : Schema.link_info) b =
   match get_opt t b with
   | Some binst
