@@ -486,9 +486,12 @@ let traverse_walk t ~root ~rel ~attr ~depth =
     let nnext = ref 0 in
     for k = !ncur - 1 downto 0 do
       let id = !cur.(k) in
-      if id >= Array.length !stamp then stamp := grow_ints !stamp (max (id + 1) (Store.next_id t.st));
-      if id < 0 || !stamp.(id) <> epoch then begin
+      if id < 0 || id >= Array.length !stamp || !stamp.(id) <> epoch then begin
+        (* [Store.get] rejects an id that names no live instance (a
+           client's root arrives unchecked) before the stamps grow to
+           cover it, so they stay within twice [Store.next_id]. *)
         let inst = Store.get t.st id in
+        if id >= Array.length !stamp then stamp := grow_ints !stamp (max (id + 1) (Store.next_id t.st));
         !stamp.(id) <- epoch;
         (match !lay with
         | Some l when l == inst.Instance.layout -> ()

@@ -580,7 +580,12 @@ let prop_traverse_matches_list_walk =
         Gen.(pair graph_gen queries_gen))
     (fun (g, queries) ->
       let db_walk, ids = build_graph g and db_trav, _ = build_graph g in
-      let root_of r = if r < 0 then -5 else if r < Array.length ids then ids.(r) else 1000 + r in
+      let root_of r =
+        if r < 0 then -5
+        else if r < Array.length ids then ids.(r)
+        else if r = 11 then 1 lsl 40
+        else 1000 + r
+      in
       List.for_all
         (fun (r, rel, attr, depth) ->
           let root = root_of r in
@@ -617,6 +622,35 @@ let test_traverse_allocation () =
     (Printf.sprintf "15-node walk %.0f words, 2000-node walk %.0f words (<= 40)" small whole)
     true
     (small <= 40. && whole <= 40.)
+
+(* A root that names no instance is rejected before the visited stamps
+   grow to cover it: a client's root arrives unchecked, and a huge one
+   must cost an error, not an array of its size. *)
+let test_traverse_unknown_root () =
+  let db = Db.create (graph_schema ()) in
+  let ids = Array.init 4 (fun _ -> Db.create_instance db "node") in
+  Db.link db ~from_id:ids.(0) ~rel:"refs" ~to_id:ids.(1);
+  let words_of_rejected root =
+    (* A full major on each side brings direct major-heap allocations
+       into [Gc.allocated_bytes]. *)
+    Gc.full_major ();
+    let before = Gc.allocated_bytes () in
+    (match Db.traverse db ~root ~rel:"refs" ~attr:"p" ~depth:3 with
+    | _ -> Alcotest.failf "root %d: traversal answered" root
+    | exception Errors.Unknown _ -> ());
+    Gc.full_major ();
+    (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+  in
+  List.iter
+    (fun root ->
+      let words = words_of_rejected root in
+      Alcotest.(check bool)
+        (Printf.sprintf "root %d rejected in %.0f words (<= 1000)" root words)
+        true (words <= 1000.))
+    [ 4_000_000; 1 lsl 40; max_int; -1 ];
+  let visited, total = Db.traverse db ~root:ids.(0) ~rel:"refs" ~attr:"p" ~depth:3 in
+  Alcotest.(check int) "a later walk still answers" 2 visited;
+  check_value "its sum" "0" (vstr total)
 
 let () =
   Alcotest.run "cactis-core"
@@ -659,6 +693,7 @@ let () =
       ( "traverse",
         [
           Alcotest.test_case "warm traversal allocates O(1) words" `Quick test_traverse_allocation;
+          Alcotest.test_case "huge unknown root rejected cheaply" `Quick test_traverse_unknown_root;
           QCheck_alcotest.to_alcotest prop_traverse_matches_list_walk;
         ] );
     ]
