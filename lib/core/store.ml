@@ -377,47 +377,31 @@ let rel_totals t =
    instance with its access count, and every structural link with its
    accumulated crossing count (0 for never-traversed links) — the greedy
    inner loop can then pull cold neighbours into a hot block before
-   opening a new one.  Links come once, from their lower id: by id, then
-   relationship name, then link order (the order the packers' tie-breaks
-   were recorded with).  Built back to front onto one list. *)
+   opening a new one. *)
 let usage_snapshot t =
   let instances =
     instance_ids t |> List.map (fun id -> (id, Usage.instance_count t.usage id))
   in
-  let links = ref [] in
-  let order_of = ref [||] and order = ref [||] in
-  for id = Array.length t.instances - 1 downto 0 do
-    match t.instances.(id) with
-    | None -> ()
-    | Some inst ->
-      let lay = inst.Instance.layout.Schema.lay_links in
-      if lay != !order_of then begin
-        let by_name = Array.init (Array.length lay) Fun.id in
-        Array.stable_sort (fun x y -> compare lay.(x).Schema.li_name lay.(y).Schema.li_name) by_name;
-        order_of := lay;
-        order := by_name
-      end;
-      let order = !order in
-      for k = Array.length order - 1 downto 0 do
-        let ix = order.(k) in
-        if ix < Array.length inst.Instance.links then begin
-          let l = inst.Instance.links.(ix) and rel = lay.(ix).Schema.li_name in
-          for j = l.Instance.n - 1 downto 0 do
-            let other = l.Instance.ids.(j) in
-            if id < other then
-              links :=
-                {
-                  Cluster.a = id;
-                  b = other;
-                  rel;
-                  count = link_count t inst ix other;
-                }
-                :: !links
-          done
-        end
-      done
-  done;
-  (instances, !links)
+  let links =
+    instance_ids t
+    |> List.concat_map (fun id ->
+           let inst = get t id in
+           Instance.all_links inst
+           |> List.concat_map (fun (rel, ids) ->
+                  List.filter_map
+                    (fun other ->
+                      if id < other then
+                        Some
+                          {
+                            Cluster.a = id;
+                            b = other;
+                            rel;
+                            count = crossing_count t ~from_instance:id ~rel ~to_instance:other;
+                          }
+                      else None)
+                    ids))
+  in
+  (instances, links)
 
 (* Cluster time refreshes the worst-case statistics used as initial
    estimates for the decaying averages (§2.3): a link whose two ends now
