@@ -11,12 +11,11 @@
 # final JSON line of every run is kept next to its full report.  For
 # each end-to-end metric in BENCHMARK.json the summary prints both
 # sides' quartiles (exclusive method, as the benchmark's own --repeat
-# uses), the pairs the change wins (ties count for neither side) and
-# the verdict benchmark/compare.ml's rules give against the metric's
-# bound: unresolved (the base's IQR / median exceeds the bound and not
-# every change run beats every base run), worse (the change's median
-# is worse by more than the bound), better (the change's IQR lies
-# wholly on the better side of the base's), else unchanged.
+# uses) and the pairs the change wins (ties count for neither side).
+# Then both sides' runs are written as --repeat summaries (base.json,
+# change.json) and `benchmark/run.sh compare` prints each metric's
+# verdict against its bound in BENCHMARK.json; the script exits 1 when
+# a verdict is `worse`, as compare does.
 # Reads benchmark/ and BENCHMARK.json, never writes them.
 set -eu
 if [ $# -lt 3 ]; then
@@ -74,26 +73,11 @@ jq -r -s --slurpfile bench BENCHMARK.json '
         | ($a[$j - 1] * (4 - $d) + $a[$j] * $d) / 4)
       end;
   def fmt: if . >= 100 then (. | round | tostring) else ((. * 1000 | round) / 1000 | tostring) end;
-  # x / y as OCaml floats divide: a zero divisor gives +-inf or nan.
-  def fdiv($x; $y):
-    if $y != 0 then $x / $y elif $x > 0 then infinite elif $x < 0 then -infinite else nan end;
-  # benchmark/compare.ml verdict, base runs $a against change runs $b.
-  def verdict($a; $b; $lower; $bound):
-    ($a | quartiles) as [$qa1, $ma, $qa3] | ($b | quartiles) as [$qb1, $mb, $qb3]
-    | def better($x; $y): if $lower then $x < $y else $x > $y end;
-      fdiv(if $lower then $mb - $ma else $ma - $mb end; $ma | fabs) as $worse_by
-    | fdiv($qa3 - $qa1; $ma | fabs) as $spread
-    | ([$b[] as $y | $a[] as $x | better($y; $x)] | all) as $all_better
-    | if $spread > $bound and ($all_better | not) then "unresolved"
-      elif $worse_by > $bound then "worse"
-      elif ($lower and $qb3 < $qa1) or (($lower | not) and $qb1 > $qa3) then "better"
-      else "unchanged" end;
   . as $pairs
   | ($pairs | length) as $n
   | "\($n) pairs, seeds \($pairs | map(.seed) | join(" "))",
     "failed ops: base \($pairs | map(.base.failed) | add), change \($pairs | map(.change.failed) | add)",
-    (["metric", "better", "base q1 / median / q3", "change q1 / median / q3", "median", "wins",
-      "verdict"]
+    (["metric", "better", "base q1 / median / q3", "change q1 / median / q3", "median", "wins"]
      | @tsv),
     ($bench[0].end_to_end[] as $m
      | ($pairs | map(.base.metrics[$m.name].value)) as $b
@@ -105,8 +89,18 @@ jq -r -s --slurpfile bench BENCHMARK.json '
          ($bq | map(fmt) | join(" / ")), ($cq | map(fmt) | join(" / ")),
          (if $bq[1] == 0 then "n/a"
           else "\((($cq[1] - $bq[1]) / $bq[1] * 1000 | round) / 10)%" end),
-         "\($wins)/\($n)", verdict($b; $c; $m.better == "lower"; $m.bound) ]
+         "\($wins)/\($n)" ]
      | @tsv)
 ' "$out/pairs.jsonl" \
-  | awk -F '\t' 'NF < 7 { print; next }
-      { printf "%-20s %-7s %-28s %-28s %-8s %-6s %s\n", $1, $2, $3, $4, $5, $6, $7 }'
+  | awk -F '\t' 'NF < 6 { print; next }
+      { printf "%-20s %-7s %-28s %-28s %-8s %s\n", $1, $2, $3, $4, $5, $6 }'
+
+for side in base change; do
+  jq -s --arg w "$workload" --arg side "$side" '
+    map(.[$side].metrics) as $runs
+    | {results: {($w): ($runs[0] | keys | map({key: ., value: {values: [$runs[][.].value]}})
+                        | from_entries)}}' "$out/pairs.jsonl" >"$out/$side.json"
+done
+status=0
+bash benchmark/run.sh compare "$out/base.json" "$out/change.json" --bounds BENCHMARK.json || status=$?
+exit "$status"
